@@ -1,22 +1,22 @@
-//! A blocking loopback client: handshake, lockstep event streaming,
-//! stats and graceful close.
+//! A blocking loopback client for the IBPS v3 plane: handshake,
+//! pipelined multi-stream event streaming, stats and graceful close.
 //!
-//! The client respects the server's credit window by sending at most
-//! half a window per batch and waiting for the closing `ACK` before
-//! sending the next — so it can never trip backpressure, let alone the
-//! fatal overflow limit. It also rebuilds a full
-//! [`ibp_sim::RunResult`] from the `PREDICTION` frames plus its own
-//! event list, which is what lets `tests/differential.rs` compare a
-//! served session bit-for-bit against offline simulation.
+//! [`MuxClient`] chunks every stream's events to the server's per-stream
+//! credit window, so it never trips the fatal overflow limit. It
+//! rebuilds a full [`ibp_sim::RunResult`] per stream from the
+//! `MUX_CLOSED` receipt, and a verbose stream also keeps every
+//! `MUX_PREDICTION` outcome — which is what lets `tests/differential.rs`
+//! compare a served stream bit-for-bit, event by event, against offline
+//! simulation.
 
+use crate::mux::MIN_ENTRIES;
 use crate::protocol::{
-    frame_type, put_events_frame, put_hello, put_mux_events_broadcast, put_mux_events_frame,
-    put_mux_open, put_mux_stream_frame, put_simple_frame, ErrorCode, FrameBuffer, Hello,
-    ProtocolError,
+    frame_type, put_hello, put_mux_events_broadcast, put_mux_events_frame, put_mux_open,
+    put_mux_stream_frame, put_simple_frame, ErrorCode, FrameBuffer, Hello, ProtocolError,
     ServerFrame,
 };
 use ibp_exec::FastMap;
-use ibp_sim::{PredictorKind, RunResult};
+use ibp_sim::{PredictionOutcome, PredictorKind, RunResult};
 use ibp_trace::wire::EventDeltaState;
 use ibp_trace::BranchEvent;
 use std::fmt;
@@ -88,7 +88,7 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// Session totals reported by the server on `FLUSH`.
+/// Stream totals reported by the server on `MUX_FLUSH`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Events processed so far.
@@ -97,233 +97,6 @@ pub struct SessionStats {
     pub predictions: u64,
     /// Mispredicted among those.
     pub mispredictions: u64,
-}
-
-/// Everything the client learned from one [`ServeClient::predict_all`]
-/// pass, reconstructed purely from `PREDICTION` frames plus the client's
-/// own copy of the events.
-#[derive(Debug)]
-pub struct SessionRun {
-    kind: PredictorKind,
-    entries: u64,
-    events_sent: u64,
-    acked_through: u64,
-    predictions: u64,
-    mispredictions: u64,
-    backpressure_warnings: u64,
-    per_branch: FastMap<u64, (u64, u64)>,
-}
-
-impl SessionRun {
-    /// Predicted indirect events seen in `PREDICTION` frames.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    /// Mispredictions among those.
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    /// Events streamed to the server.
-    pub fn events_sent(&self) -> u64 {
-        self.events_sent
-    }
-
-    /// Highest resolve-time feedback received (one past the last
-    /// processed sequence number).
-    pub fn acked_through(&self) -> u64 {
-        self.acked_through
-    }
-
-    /// `BACKPRESSURE` warnings received (zero for a lockstep client).
-    pub fn backpressure_warnings(&self) -> u64 {
-        self.backpressure_warnings
-    }
-
-    /// Rebuilds the same [`RunResult`] an offline
-    /// `ibp_sim::simulate` over these events would produce, labelled
-    /// with the served predictor's display name.
-    pub fn into_run_result(self) -> RunResult {
-        let label = self.kind.build_with_entries(self.entries as usize).name();
-        RunResult::from_parts(
-            label,
-            self.predictions,
-            self.mispredictions,
-            self.per_branch.iter().map(|(pc, counts)| (*pc, *counts)),
-        )
-    }
-}
-
-/// A connected prediction session.
-#[derive(Debug)]
-pub struct ServeClient {
-    stream: TcpStream,
-    buffer: FrameBuffer,
-    encode_state: EventDeltaState,
-    kind: PredictorKind,
-    entries: u64,
-    window: u64,
-    seq: u64,
-}
-
-impl ServeClient {
-    /// Connects, performs the handshake and waits for the server's
-    /// verdict.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Rejected`] carries the server's typed refusal
-    /// (unknown predictor, bad budget, busy, shutting down, …).
-    pub fn connect(
-        addr: SocketAddr,
-        kind: PredictorKind,
-        entries: u64,
-    ) -> Result<ServeClient, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let mut client = ServeClient {
-            stream,
-            buffer: FrameBuffer::new(),
-            encode_state: EventDeltaState::new(),
-            kind,
-            entries,
-            window: 0,
-            seq: 0,
-        };
-        let mut bytes = Vec::new();
-        put_hello(&mut bytes, &Hello::legacy(kind.wire_code(), entries));
-        client.stream.write_all(&bytes)?;
-        client.stream.flush()?;
-        match client.read_frame()? {
-            ServerFrame::HelloAck { window } => {
-                client.window = window.max(1);
-                Ok(client)
-            }
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected HELLO_ACK")),
-        }
-    }
-
-    /// The server's advertised send-credit window, in events.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Streams every event in lockstep (half a window per batch, waiting
-    /// for each batch's `ACK`), collecting prediction outcomes.
-    pub fn predict_all(&mut self, events: &[BranchEvent]) -> Result<SessionRun, ClientError> {
-        let mut run = SessionRun {
-            kind: self.kind,
-            entries: self.entries,
-            events_sent: 0,
-            acked_through: 0,
-            predictions: 0,
-            mispredictions: 0,
-            backpressure_warnings: 0,
-            per_branch: FastMap::new(),
-        };
-        let base = self.seq;
-        let chunk = (self.window / 2).max(1) as usize;
-        for batch in events.chunks(chunk) {
-            let mut bytes = Vec::new();
-            put_events_frame(&mut self.encode_state, batch, &mut bytes);
-            self.stream.write_all(&bytes)?;
-            self.stream.flush()?;
-            self.seq += batch.len() as u64;
-            run.events_sent += batch.len() as u64;
-            // Drain responses until this batch's resolve-time feedback.
-            loop {
-                match self.read_frame()? {
-                    ServerFrame::Prediction {
-                        seq,
-                        correct,
-                        predicted: _,
-                    } => {
-                        let Some(event) = seq
-                            .checked_sub(base)
-                            .and_then(|i| events.get(i as usize))
-                        else {
-                            return Err(ClientError::UnexpectedFrame(
-                                "prediction for a sequence number never sent",
-                            ));
-                        };
-                        run.predictions += 1;
-                        if !correct {
-                            run.mispredictions += 1;
-                        }
-                        let counts = run.per_branch.or_default(event.pc().raw());
-                        counts.0 += 1;
-                        if !correct {
-                            counts.1 += 1;
-                        }
-                    }
-                    ServerFrame::Backpressure { .. } => run.backpressure_warnings += 1,
-                    ServerFrame::Ack { through_seq } => {
-                        run.acked_through = through_seq;
-                        break;
-                    }
-                    ServerFrame::Error { code, detail } => {
-                        return Err(ClientError::Rejected { code, detail })
-                    }
-                    _ => {
-                        return Err(ClientError::UnexpectedFrame(
-                            "expected PREDICTION/ACK during streaming",
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(run)
-    }
-
-    /// Requests the server-side session totals.
-    pub fn stats(&mut self) -> Result<SessionStats, ClientError> {
-        let mut bytes = Vec::new();
-        put_simple_frame(frame_type::FLUSH, &mut bytes);
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()?;
-        match self.read_frame()? {
-            ServerFrame::Stats {
-                events,
-                predictions,
-                mispredictions,
-            } => Ok(SessionStats {
-                events,
-                predictions,
-                mispredictions,
-            }),
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected STATS")),
-        }
-    }
-
-    /// Graceful goodbye; returns the server's total processed events.
-    pub fn close(mut self) -> Result<u64, ClientError> {
-        let mut bytes = Vec::new();
-        put_simple_frame(frame_type::BYE, &mut bytes);
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()?;
-        match self.read_frame()? {
-            ServerFrame::ByeAck { events } => Ok(events),
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected BYE_ACK")),
-        }
-    }
-
-    fn read_frame(&mut self) -> Result<ServerFrame, ClientError> {
-        let mut scratch = [0u8; 4096];
-        loop {
-            if let Some(raw) = self.buffer.next_frame()? {
-                return Ok(ServerFrame::decode(&raw)?);
-            }
-            let n = self.stream.read(&mut scratch)?;
-            if n == 0 {
-                return Err(ClientError::ConnectionClosed);
-            }
-            self.buffer.feed(scratch.get(..n).unwrap_or(&[]));
-        }
-    }
 }
 
 /// What one closed mux stream produced, reconstructed from the server's
@@ -341,9 +114,9 @@ pub struct StreamOutcome {
     /// Per-site tallies from the close receipt: `(pc, predictions,
     /// mispredictions)`, strictly ascending by pc.
     per_branch: Vec<(u64, u64, u64)>,
-    /// Verbose-mode cross-check, built client-side from prediction
-    /// frames; `None` for summary streams.
-    observed: Option<(u64, u64)>,
+    /// Every `MUX_PREDICTION` outcome in arrival order; `None` for
+    /// summary streams.
+    outcomes: Option<Vec<PredictionOutcome>>,
     backpressure_warnings: u64,
 }
 
@@ -368,10 +141,10 @@ impl StreamOutcome {
         self.mispredictions
     }
 
-    /// `(predictions, mispredictions)` counted client-side from
-    /// `MUX_PREDICTION` frames — only for verbose streams.
-    pub fn observed(&self) -> Option<(u64, u64)> {
-        self.observed
+    /// The per-event outcomes from `MUX_PREDICTION` frames, in stream
+    /// order — only for verbose streams.
+    pub fn outcomes(&self) -> Option<&[PredictionOutcome]> {
+        self.outcomes.as_deref()
     }
 
     /// `MUX_BACKPRESSURE` warnings received on this stream.
@@ -403,8 +176,7 @@ struct StreamState {
     events_sent: u64,
     acked_through: u64,
     open_acked: bool,
-    predictions: u64,
-    mispredictions: u64,
+    outcomes: Vec<PredictionOutcome>,
     backpressure_warnings: u64,
     closed: Option<(u64, u64, u64, Vec<(u64, u64, u64)>)>,
     error: Option<(ErrorCode, String)>,
@@ -413,8 +185,7 @@ struct StreamState {
 /// A connected v3 (multiplexed) session: many independent predictor
 /// streams pipelined over one socket.
 ///
-/// Unlike [`ServeClient`]'s lockstep, the mux client *pipelines*:
-/// `open` and `send` only write (draining any responses the socket
+/// The client *pipelines*: `open` and `send` only write (draining any responses the socket
 /// already has, without blocking), and only [`MuxClient::finish`] /
 /// [`MuxClient::bye`] wait. Batches are chunked to the server's
 /// per-stream credit window, so a well-behaved client never trips the
@@ -433,8 +204,7 @@ impl MuxClient {
     /// Connects and negotiates protocol version 3.
     ///
     /// The handshake's predictor/budget fields are vetted by the server
-    /// exactly like a legacy hello (uniform rejection surface) but bind
-    /// no session — streams declare their own in `MUX_OPEN`.
+    /// but bind no session — streams declare their own in `MUX_OPEN`.
     pub fn connect(addr: SocketAddr) -> Result<MuxClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -449,25 +219,22 @@ impl MuxClient {
         let mut bytes = Vec::new();
         put_hello(
             &mut bytes,
-            &Hello::mux(PredictorKind::Btb.wire_code(), crate::session::MIN_ENTRIES),
+            &Hello::mux(PredictorKind::Btb.wire_code(), MIN_ENTRIES),
         );
         client.stream.write_all(&bytes)?;
         client.stream.flush()?;
-        loop {
-            match client.read_frame()? {
-                ServerFrame::MuxHelloAck {
-                    window,
-                    max_streams,
-                } => {
-                    client.window = window.max(1);
-                    client.max_streams = max_streams;
-                    return Ok(client);
-                }
-                ServerFrame::Error { code, detail } => {
-                    return Err(ClientError::Rejected { code, detail })
-                }
-                _ => return Err(ClientError::UnexpectedFrame("expected MUX_HELLO_ACK")),
+        match client.read_frame()? {
+            ServerFrame::MuxHelloAck {
+                window,
+                max_streams,
+            } => {
+                client.window = window.max(1);
+                client.max_streams = max_streams;
+                Ok(client)
             }
+            // A connection-level ERROR (busy, bad hello) already came
+            // back from `read_frame` as `ClientError::Rejected`.
+            _ => Err(ClientError::UnexpectedFrame("expected MUX_HELLO_ACK")),
         }
     }
 
@@ -502,8 +269,7 @@ impl MuxClient {
                 events_sent: 0,
                 acked_through: 0,
                 open_acked: false,
-                predictions: 0,
-                mispredictions: 0,
+                outcomes: Vec::new(),
                 backpressure_warnings: 0,
                 closed: None,
                 error: None,
@@ -643,9 +409,7 @@ impl MuxClient {
             predictions,
             mispredictions,
             per_branch,
-            observed: state
-                .verbose
-                .then_some((state.predictions, state.mispredictions)),
+            outcomes: state.verbose.then_some(state.outcomes),
             backpressure_warnings: state.backpressure_warnings,
         })
     }
@@ -741,16 +505,14 @@ impl MuxClient {
                 stream,
                 seq,
                 correct,
-                ..
+                predicted,
             } => {
                 if let Some(state) = self.streams.get_mut(stream) {
-                    state.predictions += 1;
-                    if !*correct {
-                        state.mispredictions += 1;
-                    }
-                    // Verbose reconstruction: seq indexes the stream's
-                    // own event sequence.
-                    let _ = seq;
+                    state.outcomes.push(PredictionOutcome {
+                        seq: *seq,
+                        correct: *correct,
+                        predicted: *predicted,
+                    });
                 }
             }
             ServerFrame::MuxAck {

@@ -1,10 +1,9 @@
-//! The server side of the multiplexed (v3) plane: one connection's
-//! stream registry, credit accounting and batched stepping.
+//! The server side of the IBPS v3 plane: one connection's stream
+//! registry, credit accounting and batched stepping.
 //!
 //! [`MuxConn`] is a pure state machine — raw frames in, server frames
 //! out, no sockets — so the mux layer is unit- and property-testable
-//! offline, exactly like the PR 5 session. The reactor owns the I/O and
-//! calls into it:
+//! offline. The reactor owns the I/O and calls into it:
 //!
 //! * [`MuxConn::on_frame`] for every complete frame read off the wire.
 //!   Event batches are *not* simulated here: they are credit-checked and
@@ -29,15 +28,13 @@
 //! unknown id, duplicate open, budget/predictor rejection, credit
 //! overflow, idle eviction — is stream-scoped ([`ServerFrame::MuxError`];
 //! the connection survives). Anything below the stream layer — malformed
-//! bytes, unknown frame types (including the v1/v2 single-session
-//! frames, which have no meaning here) — is connection-fatal and
+//! bytes, unknown or reserved frame types — is connection-fatal and
 //! surfaces as [`ConnFatal`].
 
 use crate::protocol::{
     decode_mux_events_into, mux_events_header, frame_type, ErrorCode, MuxClientFrame,
     ProtocolError, RawFrame, ServerFrame,
 };
-use crate::session::{MAX_ENTRIES, MIN_ENTRIES};
 use crate::spill::{SpillStore, TierCache};
 use ibp_exec::FastMap;
 use ibp_sim::{snapshot_session, PredictionOutcome, PredictorKind, RunResult, SessionStepper};
@@ -45,12 +42,40 @@ use ibp_trace::wire::EventDeltaState;
 use ibp_trace::BranchEvent;
 use std::sync::Arc;
 
+/// Smallest accepted table-entry budget (matches the zoo's floor, below
+/// which configurations degenerate).
+pub const MIN_ENTRIES: u64 = 64;
+
+/// Largest accepted table-entry budget (a megaentry — far past the
+/// paper's sweep — so a hostile peer cannot demand absurd allocations).
+pub const MAX_ENTRIES: u64 = 1 << 20;
+
+/// Vets a requested table-entry budget, shared by the handshake and
+/// `MUX_OPEN`: too large is `EntriesTooLarge` (the budget was
+/// well-formed, the server just caps per-session tables), too small is
+/// `BadBudget`.
+pub(crate) fn check_entries(entries: u64) -> Result<(), (ErrorCode, String)> {
+    if entries > MAX_ENTRIES {
+        return Err((
+            ErrorCode::EntriesTooLarge,
+            format!("entries {entries} above the cap of {MAX_ENTRIES}"),
+        ));
+    }
+    if entries < MIN_ENTRIES {
+        return Err((
+            ErrorCode::BadBudget,
+            format!("entries {entries} outside {MIN_ENTRIES}..={MAX_ENTRIES}"),
+        ));
+    }
+    Ok(())
+}
+
 /// A connection-fatal condition: the reactor answers with a
 /// connection-level `ERROR` frame and closes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnFatal {
-    /// The peer's bytes do not parse as v3 frames (includes legacy
-    /// single-session frame types, which are not spoken on this plane).
+    /// The peer's bytes do not parse as v3 frames (includes the
+    /// reserved opcodes of the retired v1/v2 plane).
     Protocol(ProtocolError),
 }
 
@@ -450,22 +475,8 @@ impl MuxConn {
             );
             return;
         };
-        if entries > MAX_ENTRIES {
-            self.stream_error(
-                stream,
-                ErrorCode::EntriesTooLarge,
-                format!("entries {entries} above the cap of {MAX_ENTRIES}"),
-                out,
-            );
-            return;
-        }
-        if entries < MIN_ENTRIES {
-            self.stream_error(
-                stream,
-                ErrorCode::BadBudget,
-                format!("entries {entries} outside {MIN_ENTRIES}..={MAX_ENTRIES}"),
-                out,
-            );
+        if let Err((code, detail)) = check_entries(entries) {
+            self.stream_error(stream, code, detail, out);
             return;
         }
         // On the memory plane, fork from the shared sealed tier: the
@@ -988,6 +999,11 @@ mod tests {
             }
         )));
         assert_eq!(conn.tallies().backpressure_warnings, 1);
+        // A degenerate window is clamped to 2 events.
+        assert!(matches!(
+            MuxConn::new(0, 64).hello_ack(),
+            ServerFrame::MuxHelloAck { window: 2, .. }
+        ));
     }
 
     #[test]
@@ -1067,15 +1083,16 @@ mod tests {
     #[test]
     fn legacy_frames_are_connection_fatal() {
         let mut conn = MuxConn::new(256, 64);
+        // 0x01 is the reserved opcode of the retired v1 event batch.
         let raw = RawFrame {
-            frame_type: frame_type::EVENT_BATCH,
+            frame_type: 0x01,
             payload: vec![0],
         };
         let mut out = Vec::new();
         let err = conn.on_frame(&raw, &mut out).unwrap_err();
         assert_eq!(
             err,
-            ConnFatal::Protocol(ProtocolError::UnknownFrame(frame_type::EVENT_BATCH))
+            ConnFatal::Protocol(ProtocolError::UnknownFrame(0x01))
         );
         assert_eq!(err.error_code(), ErrorCode::BadFrame);
     }

@@ -10,16 +10,16 @@
 //!    admitting connections against the global session cap.
 //! 2. **Poll every connection** — flush its pending output, read until
 //!    `WouldBlock` into a shard-wide scratch buffer, then run the
-//!    connection's plane (handshake → legacy session or mux registry)
-//!    over every complete frame. Mux connections end the iteration with
-//!    one [`MuxConn::step_pending`] pass, so all of a connection's
-//!    resident streams step their accumulated batches back-to-back —
-//!    the decode → simulate → encode pipeline runs in lockstep across
-//!    sessions instead of ping-ponging per frame.
+//!    connection's plane (handshake, then the mux stream registry) over
+//!    every complete frame, ending with one [`MuxConn::step_pending`]
+//!    pass, so all of a connection's resident streams step their
+//!    accumulated batches back-to-back — the decode → simulate → encode
+//!    pipeline runs in lockstep across sessions instead of ping-ponging
+//!    per frame.
 //! 3. **Idle tick** — only when the whole shard made no progress:
-//!    sleep one tick and age every connection (and, on mux
-//!    connections, every *stream* — idle eviction is per stream; the
-//!    connection itself is only evicted when it has no streams left).
+//!    sleep one tick and age every connection and every *stream* — idle
+//!    eviction is per stream; the connection itself is only evicted when
+//!    it has no streams left.
 //!
 //! Writes are fully decoupled from the protocol logic: frames are
 //! encoded into a per-connection output buffer, flushed as far as the
@@ -31,15 +31,11 @@
 //! Nothing here keeps time except tick *counting* — the reactor's
 //! clockless idle accounting matches PR 4/5's determinism discipline.
 
-use crate::mux::{ConnFatal, MuxConn, MuxProgress};
-use crate::protocol::{
-    frame_type, version_is_mux, ClientFrame, ErrorCode, FrameBuffer, ServerFrame,
-};
-use crate::session::{Session, SessionFatal, MAX_ENTRIES, MIN_ENTRIES};
+use crate::mux::{check_entries, ConnFatal, MuxConn, MuxProgress};
+use crate::protocol::{ErrorCode, FrameBuffer, ServerFrame};
 use crate::spill::{DiskSpillStore, MemorySpillStore, SpillStore, TierCache};
 use ibp_metrics::{Log2Histogram, MetricsSnapshot};
 use ibp_sim::{PredictorKind, TableEncoding};
-use ibp_trace::wire::EventDeltaState;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -130,7 +126,6 @@ enum SessionEnd {
     IdleEvicted,
     HandshakeRejected,
     ProtocolError,
-    WindowOverflow,
     WriteFailed,
     IoFailed,
     ForcedShutdown,
@@ -144,7 +139,6 @@ impl SessionEnd {
             SessionEnd::IdleEvicted => "serve_idle_evictions",
             SessionEnd::HandshakeRejected => "serve_handshake_rejects",
             SessionEnd::ProtocolError => "serve_protocol_errors",
-            SessionEnd::WindowOverflow => "serve_window_overflows",
             SessionEnd::WriteFailed => "serve_write_failures",
             SessionEnd::IoFailed => "serve_io_failures",
             SessionEnd::ForcedShutdown => "serve_forced_closes",
@@ -167,16 +161,14 @@ impl Tallies {
     }
 }
 
-/// Which protocol plane a connection negotiated.
+/// Where a connection is in its life: before or after the handshake.
+// The registry stays inline: every frame goes through it, and a
+// connection spends almost all its life past the handshake.
+#[allow(clippy::large_enum_variant)]
 enum Plane {
     /// Still waiting for (or parsing) the handshake.
     Handshake,
-    /// v1/v2: one predictor session per connection.
-    Legacy {
-        session: Session,
-        decode: EventDeltaState,
-    },
-    /// v3: a stream registry.
+    /// Handshake accepted: a stream registry.
     Mux {
         conn: MuxConn,
         /// Streams open after the previous poll, for maintaining the
@@ -311,7 +303,7 @@ impl Conn {
         }
     }
 
-    /// Parses the handshake if complete, opening the negotiated plane.
+    /// Parses the handshake if complete, opening the stream registry.
     /// Returns true when more frames may follow this poll.
     fn advance_handshake(&mut self, shared: &Shared) -> bool {
         let cfg = &shared.cfg;
@@ -324,87 +316,59 @@ impl Conn {
                 return false;
             }
         };
-        // Uniform rejection surface: v3 hellos carry a predictor and
-        // budget too (streams re-declare their own per MUX_OPEN), and
-        // they are vetted exactly like a legacy handshake.
-        let Some(kind) = PredictorKind::from_wire_code(hello.predictor_code) else {
+        // The hello's predictor and budget bind nothing (streams declare
+        // their own per MUX_OPEN), but they are vetted exactly like a
+        // MUX_OPEN's, so a misconfigured client fails at the handshake.
+        if PredictorKind::from_wire_code(hello.predictor_code).is_none() {
             self.queue_error(
                 ErrorCode::UnknownPredictor,
                 format!("wire code {:#04x} is unassigned", hello.predictor_code),
             );
             self.finish(SessionEnd::HandshakeRejected);
             return false;
-        };
-        if hello.entries > MAX_ENTRIES {
-            // Too large is its own typed rejection: the budget was
-            // well-formed, the server just caps per-session tables at
-            // the documented maximum.
-            self.queue_error(
-                ErrorCode::EntriesTooLarge,
-                format!("entries {} above the cap of {MAX_ENTRIES}", hello.entries),
-            );
+        }
+        if let Err((code, detail)) = check_entries(hello.entries) {
+            self.queue_error(code, detail);
             self.finish(SessionEnd::HandshakeRejected);
             return false;
         }
-        if hello.entries < MIN_ENTRIES {
-            self.queue_error(
-                ErrorCode::BadBudget,
-                format!(
-                    "entries {} outside {MIN_ENTRIES}..={MAX_ENTRIES}",
-                    hello.entries
-                ),
-            );
-            self.finish(SessionEnd::HandshakeRejected);
-            return false;
-        }
-        if version_is_mux(hello.version) {
-            let conn = match &shared.tiers {
-                Some(tiers) => {
-                    // Memory plane on: streams fork from the shared
-                    // sealed tiers, and this connection gets its own
-                    // spill store (stream ids are conn-scoped).
-                    let store: Box<dyn SpillStore> = match &cfg.spill_dir {
-                        Some(dir) => {
-                            let prefix = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-                            match DiskSpillStore::new(dir, prefix) {
-                                Ok(s) => Box::new(s),
-                                // An unusable spill directory degrades
-                                // to heap spill rather than refusing
-                                // service.
-                                Err(_) => Box::new(MemorySpillStore::new()),
-                            }
+        let conn = match &shared.tiers {
+            Some(tiers) => {
+                // Memory plane on: streams fork from the shared
+                // sealed tiers, and this connection gets its own
+                // spill store (stream ids are conn-scoped).
+                let store: Box<dyn SpillStore> = match &cfg.spill_dir {
+                    Some(dir) => {
+                        let prefix = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
+                        match DiskSpillStore::new(dir, prefix) {
+                            Ok(s) => Box::new(s),
+                            // An unusable spill directory degrades
+                            // to heap spill rather than refusing
+                            // service.
+                            Err(_) => Box::new(MemorySpillStore::new()),
                         }
-                        None => Box::new(MemorySpillStore::new()),
-                    };
-                    MuxConn::with_memory(
-                        cfg.window,
-                        cfg.max_streams,
-                        Some(Arc::clone(tiers)),
-                        Some(store),
-                    )
-                }
-                None => MuxConn::new(cfg.window, cfg.max_streams),
-            };
-            self.queue(&conn.hello_ack());
-            self.plane = Plane::Mux {
-                conn,
-                last_streams: 0,
-            };
-        } else {
-            let session = Session::new(kind, hello.entries as usize, cfg.window);
-            self.queue(&ServerFrame::HelloAck {
-                window: session.window(),
-            });
-            self.plane = Plane::Legacy {
-                session,
-                decode: EventDeltaState::new(),
-            };
-        }
+                    }
+                    None => Box::new(MemorySpillStore::new()),
+                };
+                MuxConn::with_memory(
+                    cfg.window,
+                    cfg.max_streams,
+                    Some(Arc::clone(tiers)),
+                    Some(store),
+                )
+            }
+            None => MuxConn::new(cfg.window, cfg.max_streams),
+        };
+        self.queue(&conn.hello_ack());
+        self.plane = Plane::Mux {
+            conn,
+            last_streams: 0,
+        };
         true
     }
 
-    /// Runs the negotiated plane over every complete frame in the
-    /// buffer, then (mux) steps accumulated batches.
+    /// Runs the stream registry over every complete frame in the
+    /// buffer, then steps accumulated batches.
     fn process(&mut self, shared: &Shared, responses: &mut Vec<ServerFrame>) {
         if matches!(self.plane, Plane::Handshake) && !self.advance_handshake(shared) {
             return;
@@ -424,74 +388,25 @@ impl Conn {
             };
             self.tallies.frames = self.tallies.frames.saturating_add(1);
             self.tallies.frame_bytes.record(raw.payload.len() as u64);
-            match &mut self.plane {
-                Plane::Handshake => break,
-                Plane::Legacy { session, decode } => {
-                    if (frame_type::MUX_OPEN..=frame_type::MUX_CLOSE).contains(&raw.frame_type) {
-                        self.queue_error(
-                            ErrorCode::MuxNotNegotiated,
-                            format!(
-                                "mux frame {:#04x} on a v1/v2 connection (negotiate version 3)",
-                                raw.frame_type
-                            ),
-                        );
-                        self.finish(SessionEnd::ProtocolError);
-                        continue;
-                    }
-                    match ClientFrame::decode(&raw, decode) {
-                        Ok(ClientFrame::Events(events)) => {
-                            responses.clear();
-                            match session.on_events(&events, responses) {
-                                Ok(()) => {
-                                    for f in responses.iter() {
-                                        f.put(&mut self.outbuf);
-                                    }
-                                }
-                                Err(SessionFatal::WindowOverflow { batch, limit }) => {
-                                    self.queue_error(
-                                        ErrorCode::WindowOverflow,
-                                        format!(
-                                            "batch of {batch} events exceeds limit {limit}"
-                                        ),
-                                    );
-                                    self.finish(SessionEnd::WindowOverflow);
-                                }
-                            }
-                        }
-                        Ok(ClientFrame::Flush) => {
-                            let stats = session.stats_frame();
-                            self.queue(&stats);
-                        }
-                        Ok(ClientFrame::Bye) => {
-                            let bye = session.bye_frame();
-                            self.queue(&bye);
-                            self.finish(SessionEnd::CleanBye);
-                        }
-                        Err(e) => {
-                            self.queue_error(e.error_code(), e.to_string());
-                            self.finish(SessionEnd::ProtocolError);
-                        }
+            let Plane::Mux { conn, .. } = &mut self.plane else {
+                break;
+            };
+            responses.clear();
+            match conn.on_frame(&raw, responses) {
+                Ok(MuxProgress::Continue) => {
+                    for f in responses.iter() {
+                        f.put(&mut self.outbuf);
                     }
                 }
-                Plane::Mux { conn, .. } => {
-                    responses.clear();
-                    match conn.on_frame(&raw, responses) {
-                        Ok(MuxProgress::Continue) => {
-                            for f in responses.iter() {
-                                f.put(&mut self.outbuf);
-                            }
-                        }
-                        Ok(MuxProgress::Bye) => {
-                            for f in responses.iter() {
-                                f.put(&mut self.outbuf);
-                            }
-                            self.finish(SessionEnd::CleanBye);
-                        }
-                        Err(ConnFatal::Protocol(e)) => {
-                            self.queue_error(e.error_code(), e.to_string());
-                            self.finish(SessionEnd::ProtocolError);
-                        }
+                Ok(MuxProgress::Bye) => {
+                    for f in responses.iter() {
+                        f.put(&mut self.outbuf);
                     }
+                    self.finish(SessionEnd::CleanBye);
+                }
+                Err(ConnFatal::Protocol(e)) => {
+                    self.queue_error(e.error_code(), e.to_string());
+                    self.finish(SessionEnd::ProtocolError);
                 }
             }
         }
@@ -542,9 +457,9 @@ impl Conn {
         progress
     }
 
-    /// One idle tick (the shard made no progress anywhere). Mux
-    /// connections age per stream; a connection only dies of idleness
-    /// when it has no streams to age.
+    /// One idle tick (the shard made no progress anywhere). Streams age
+    /// individually; a connection only dies of idleness when it has no
+    /// streams to age.
     fn on_idle_tick(&mut self, cfg: &ServerConfig, responses: &mut Vec<ServerFrame>) {
         if self.end.is_some() {
             return;
@@ -566,7 +481,7 @@ impl Conn {
         if self.idle >= cfg.idle_timeout {
             let detail = match self.plane {
                 Plane::Handshake => "no handshake".to_string(),
-                _ => format!("no frames within {:?}", cfg.idle_timeout),
+                Plane::Mux { .. } => format!("no frames within {:?}", cfg.idle_timeout),
             };
             self.queue_error(ErrorCode::IdleTimeout, detail);
             self.finish(SessionEnd::IdleEvicted);
@@ -585,12 +500,6 @@ impl Conn {
         metrics.merge_histogram("serve_frame_bytes", &self.tallies.frame_bytes);
         match &self.plane {
             Plane::Handshake => {}
-            Plane::Legacy { session, .. } => {
-                metrics.add_counter("serve_events", session.events());
-                metrics.add_shard_counter("serve_events", shard, session.events());
-                metrics.add_counter("serve_predictions", session.predictions());
-                metrics.add_counter("serve_mispredictions", session.mispredictions());
-            }
             Plane::Mux { conn, .. } => {
                 let t = conn.tallies();
                 metrics.add_counter("serve_events", t.events);
@@ -625,7 +534,7 @@ fn enforce_budget(conns: &mut [Conn], budget: u64, shared: &Shared) {
             .iter()
             .map(|c| match &c.plane {
                 Plane::Mux { conn, .. } => conn.resident_bytes() as u64,
-                _ => 0,
+                Plane::Handshake => 0,
             })
             .sum();
         shared.peak_resident.fetch_max(total, Ordering::SeqCst);

@@ -4,10 +4,10 @@
 //! Since IBPS v3 the server is a bank of [`ibp_exec::ShardPool`] shards,
 //! each running the non-blocking reactor loop in [`crate::reactor`] over
 //! a clone of the listener. A connection lives its whole life on the
-//! shard that accepted it — its socket, frame buffer, negotiated plane
-//! (legacy session or mux stream registry) and telemetry never cross
-//! threads, so concurrency cannot perturb prediction (pinned by the
-//! sharded differential suite at shard counts 1, 2 and 8).
+//! shard that accepted it — its socket, frame buffer, stream registry
+//! and telemetry never cross threads, so concurrency cannot perturb
+//! prediction (pinned by the sharded differential suite at shard counts
+//! 1, 2 and 8).
 //!
 //! Time never enters prediction: idleness is *accounted* in reactor
 //! ticks, not measured — a shard only ages its connections (and their
@@ -46,8 +46,8 @@ pub struct ServerConfig {
     /// Per-connection cap on concurrently open mux streams; further
     /// `MUX_OPEN`s get a stream-scoped `stream-limit` error.
     pub max_streams: u64,
-    /// Send-credit window advertised at handshake, in events. On the
-    /// mux plane this is the *per-stream* window.
+    /// Per-stream send-credit window advertised at handshake, in
+    /// events.
     pub window: u64,
     /// The idle-accounting tick: how long a shard sleeps when none of
     /// its connections moved a byte.
@@ -142,13 +142,22 @@ pub struct ServerReport {
 
 /// A running prediction server.
 ///
-/// Dropping a `Server` without calling [`Server::shutdown`] still stops
-/// cleanly (the shard pool joins on drop), but skips the drain-deadline
-/// wait and discards the report.
+/// Dropping a `Server` without calling [`Server::shutdown`] (a test
+/// that panicked mid-run, say) still stops cleanly: the shards
+/// force-close their connections and the pool joins, but the
+/// drain-deadline wait is skipped and the report discarded.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    pool: ShardPool,
+    /// `None` once [`Server::shutdown`] has joined it.
+    pool: Option<ShardPool>,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.shared.accepting.store(false, Ordering::SeqCst);
+        self.shared.force_close.store(true, Ordering::SeqCst);
+    }
 }
 
 impl fmt::Debug for Server {
@@ -191,7 +200,7 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            pool,
+            pool: Some(pool),
         })
     }
 
@@ -218,7 +227,7 @@ impl Server {
 
     /// Stops accepting, drains in-flight connections (bounded by the
     /// configured drain deadline), joins the shards and reports.
-    pub fn shutdown(self) -> ServerReport {
+    pub fn shutdown(mut self) -> ServerReport {
         self.shared.accepting.store(false, Ordering::SeqCst);
         // The drain deadline is a genuine wall-clock bound on how long
         // we wait for remote peers — an I/O-boundary quantity that never
@@ -232,7 +241,7 @@ impl Server {
         }
         let drained_clean = self.shared.active.load(Ordering::SeqCst) == 0;
         self.shared.force_close.store(true, Ordering::SeqCst);
-        let pool = self.pool.join();
+        let pool = self.pool.take().map(ShardPool::join).unwrap_or_default();
         let mut metrics = self.shared.lock_metrics().clone();
         metrics.record_max(
             "serve_peak_sessions",

@@ -13,8 +13,11 @@
 //!    binary; there is nothing to catch.
 
 use ibp_isa::{Addr, BranchClass};
-use ibp_serve::protocol::{frame_type, put_events_frame, put_hello, put_simple_frame};
-use ibp_serve::{ClientFrame, ErrorCode, FrameBuffer, Hello, ServerFrame};
+use ibp_serve::protocol::{
+    decode_mux_events_into, frame_type, mux_events_header, put_hello, put_mux_events_frame,
+    put_mux_open, put_mux_stream_frame, put_simple_frame,
+};
+use ibp_serve::{ErrorCode, FrameBuffer, Hello, MuxClientFrame, ServerFrame};
 use ibp_testkit::{prop_assert, prop_assert_eq, Prop, TestRng};
 use ibp_trace::wire::EventDeltaState;
 use ibp_trace::BranchEvent;
@@ -47,9 +50,11 @@ fn gen_event(rng: &mut TestRng) -> BranchEvent {
 }
 
 fn gen_server_frame(rng: &mut TestRng) -> ServerFrame {
+    let stream = rng.next_u64() >> 1;
     match rng.gen_range(0u32..7) {
-        0 => ServerFrame::HelloAck {
+        0 => ServerFrame::MuxHelloAck {
             window: rng.gen_range(1u64..10_000),
+            max_streams: rng.gen_range(1u64..1 << 20),
         },
         1 => {
             let predicted = if rng.gen_bool(0.5) {
@@ -57,21 +62,25 @@ fn gen_server_frame(rng: &mut TestRng) -> ServerFrame {
             } else {
                 None
             };
-            ServerFrame::Prediction {
+            ServerFrame::MuxPrediction {
+                stream,
                 seq: rng.next_u64() >> 1,
                 // `correct` implies a target was produced.
                 correct: predicted.is_some() && rng.gen_bool(0.5),
                 predicted,
             }
         }
-        2 => ServerFrame::Ack {
+        2 => ServerFrame::MuxAck {
+            stream,
             through_seq: rng.next_u64() >> 1,
         },
-        3 => ServerFrame::Backpressure {
+        3 => ServerFrame::MuxBackpressure {
+            stream,
             batch: rng.gen_range(1u64..100_000),
             window: rng.gen_range(1u64..100_000),
         },
-        4 => ServerFrame::Stats {
+        4 => ServerFrame::MuxStats {
+            stream,
             events: rng.next_u64() >> 1,
             predictions: rng.next_u64() >> 1,
             mispredictions: rng.next_u64() >> 1,
@@ -117,25 +126,54 @@ fn apply_ops(bytes: &mut Vec<u8>, ops: &[(u8, u64, u8)]) {
     }
 }
 
-/// Encodes a full client byte stream: handshake, then the event batches,
-/// a FLUSH and a BYE.
+/// The stream every generated client byte stream opens.
+const STREAM: u64 = 7;
+
+/// One decoded client frame: an event batch (decoded against the
+/// stream's delta state) or any other frame.
+#[derive(Debug, Clone, PartialEq)]
+enum Parsed {
+    Events(u64, Vec<BranchEvent>),
+    Frame(MuxClientFrame),
+}
+
+/// Encodes a full client byte stream: handshake, a `MUX_OPEN`, the event
+/// batches, then `MUX_FLUSH`, `MUX_CLOSE` and `BYE`.
 fn client_stream(hello: &Hello, batches: &[Vec<BranchEvent>]) -> Vec<u8> {
     let mut bytes = Vec::new();
     put_hello(&mut bytes, hello);
+    put_mux_open(&mut bytes, STREAM, hello.predictor_code, hello.entries, true);
     let mut enc = EventDeltaState::new();
     for batch in batches {
-        put_events_frame(&mut enc, batch, &mut bytes);
+        put_mux_events_frame(&mut enc, STREAM, batch, &mut bytes);
     }
-    put_simple_frame(frame_type::FLUSH, &mut bytes);
+    put_mux_stream_frame(frame_type::MUX_FLUSH, STREAM, &mut bytes);
+    put_mux_stream_frame(frame_type::MUX_CLOSE, STREAM, &mut bytes);
     put_simple_frame(frame_type::BYE, &mut bytes);
     bytes
+}
+
+/// What [`client_stream`] encodes, as [`parse_client_stream`] should
+/// return it.
+fn expected_frames(hello: &Hello, batches: &[Vec<BranchEvent>]) -> Vec<Parsed> {
+    let mut expect = vec![Parsed::Frame(MuxClientFrame::Open {
+        stream: STREAM,
+        predictor_code: hello.predictor_code,
+        entries: hello.entries,
+        verbose: true,
+    })];
+    expect.extend(batches.iter().map(|b| Parsed::Events(STREAM, b.clone())));
+    expect.push(Parsed::Frame(MuxClientFrame::Flush { stream: STREAM }));
+    expect.push(Parsed::Frame(MuxClientFrame::Close { stream: STREAM }));
+    expect.push(Parsed::Frame(MuxClientFrame::Bye));
+    expect
 }
 
 /// Drains everything a client byte stream contains, feeding the buffer
 /// in the given fragments.
 fn parse_client_stream(
     fragments: &[&[u8]],
-) -> Result<(Option<Hello>, Vec<ClientFrame>), ibp_serve::ProtocolError> {
+) -> Result<(Option<Hello>, Vec<Parsed>), ibp_serve::ProtocolError> {
     let mut fb = FrameBuffer::new();
     let mut state = EventDeltaState::new();
     let mut hello = None;
@@ -149,7 +187,14 @@ fn parse_client_stream(
             }
         }
         while let Some(raw) = fb.next_frame()? {
-            frames.push(ClientFrame::decode(&raw, &mut state)?);
+            if raw.frame_type == frame_type::MUX_EVENT_BATCH {
+                let header = mux_events_header(&raw)?;
+                let mut events = Vec::new();
+                decode_mux_events_into(&raw, header, &mut state, &mut events)?;
+                frames.push(Parsed::Events(header.stream, events));
+            } else {
+                frames.push(Parsed::Frame(MuxClientFrame::decode(&raw)?));
+            }
         }
     }
     Ok((hello, frames))
@@ -170,18 +215,13 @@ fn client_stream_parse_is_fragmentation_invariant() {
             (code, entries, batches, cuts)
         },
         |(code, entries, batches, cuts)| {
-            let hello = Hello::legacy(*code, *entries);
+            let hello = Hello::mux(*code, *entries);
             let bytes = client_stream(&hello, batches);
             // Reference parse: one fragment.
             let (ref_hello, ref_frames) =
                 parse_client_stream(&[&bytes]).expect("valid stream parses");
             prop_assert_eq!(ref_hello, Some(hello));
-            let mut expect: Vec<ClientFrame> = batches
-                .iter()
-                .map(|b| ClientFrame::Events(b.clone()))
-                .collect();
-            expect.push(ClientFrame::Flush);
-            expect.push(ClientFrame::Bye);
+            let expect = expected_frames(&hello, batches);
             prop_assert_eq!(&ref_frames, &expect);
 
             // Fragmented parse: split at arbitrary sorted offsets.
@@ -242,7 +282,7 @@ fn mutated_client_streams_never_panic() {
             (code, entries, batches, gen_ops(rng))
         },
         |(code, entries, batches, ops)| {
-            let hello = Hello::legacy(*code, *entries);
+            let hello = Hello::mux(*code, *entries);
             let mut bytes = client_stream(&hello, batches);
             apply_ops(&mut bytes, ops);
             // Must return (Ok or typed Err), never panic or loop forever.
@@ -298,7 +338,7 @@ fn garbage_handshakes_fail_typed() {
 }
 
 /// The drain-path error frame round-trips with its wire spelling: a
-/// server announcing `shutting-down` must be decodable by a v2 client.
+/// server announcing `shutting-down` must be decodable by any client.
 #[test]
 fn shutting_down_error_round_trips() {
     let frame = ServerFrame::Error {

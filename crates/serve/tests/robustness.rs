@@ -3,12 +3,12 @@
 //! close — it never hangs, never panics, and keeps serving afterwards.
 
 use ibp_serve::protocol::{
-    frame_type, put_events_frame, put_hello, put_mux_events_frame, put_mux_open,
-    put_mux_stream_frame, put_simple_frame,
+    frame_type, put_hello, put_mux_events_frame, put_mux_open, put_mux_stream_frame,
+    put_simple_frame,
 };
 use ibp_serve::{
-    ClientError, ErrorCode, FrameBuffer, Hello, MuxClient, ServeClient, Server, ServerConfig,
-    ServerFrame, MAX_FRAME_PAYLOAD,
+    ClientError, ErrorCode, FrameBuffer, Hello, MuxClient, Server, ServerConfig, ServerFrame,
+    MAX_FRAME_PAYLOAD,
 };
 use ibp_sim::PredictorKind;
 use ibp_trace::wire::EventDeltaState;
@@ -76,23 +76,20 @@ fn handshake_rejections_are_typed() {
     // Wrong magic — rejected as soon as the prefix diverges.
     expect_error(&exchange(addr, b"JUNKJUNK"), ErrorCode::BadMagic);
 
-    // Right magic, wrong version.
+    // Right magic, wrong version — including the retired single-session
+    // versions 1 and 2, well-formed hellos in every other field.
     expect_error(&exchange(addr, b"IBPS\x7f\x00\x00"), ErrorCode::BadVersion);
+    expect_error(&exchange(addr, b"IBPS\x01\x00\x80\x10"), ErrorCode::BadVersion);
+    expect_error(&exchange(addr, b"IBPS\x02\x00\x80\x10"), ErrorCode::BadVersion);
 
     // Unassigned predictor wire code.
     let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::legacy(42, 2048),
-    );
+    put_hello(&mut bytes, &Hello::mux(42, 2048));
     expect_error(&exchange(addr, &bytes), ErrorCode::UnknownPredictor);
 
     // Absurd entries budget.
     let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), 7),
-    );
+    put_hello(&mut bytes, &Hello::mux(PredictorKind::Btb.wire_code(), 7));
     expect_error(&exchange(addr, &bytes), ErrorCode::BadBudget);
 
     // Too *large* a budget is its own typed rejection, distinct from
@@ -101,69 +98,92 @@ fn handshake_rejections_are_typed() {
     let mut bytes = Vec::new();
     put_hello(
         &mut bytes,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), (1 << 20) + 1),
+        &Hello::mux(PredictorKind::Btb.wire_code(), (1 << 20) + 1),
     );
     expect_error(&exchange(addr, &bytes), ErrorCode::EntriesTooLarge);
 
-    // The typed client surfaces the same rejections.
-    match ServeClient::connect(addr, PredictorKind::Btb, 7) {
-        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::BadBudget),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    match ServeClient::connect(addr, PredictorKind::Btb, (1 << 20) + 1) {
-        Err(ClientError::Rejected { code, .. }) => {
-            assert_eq!(code, ErrorCode::EntriesTooLarge)
+    // The typed client surfaces the same budget rejections, scoped to
+    // the stream that asked for them.
+    let mut client = MuxClient::connect(addr).expect("v3 handshake");
+    client.open(1, PredictorKind::Btb, 7, false).expect("pipelined open");
+    client
+        .open(2, PredictorKind::Btb, (1 << 20) + 1, false)
+        .expect("pipelined open");
+    for (stream, want) in [(1, ErrorCode::BadBudget), (2, ErrorCode::EntriesTooLarge)] {
+        match client.finish(stream) {
+            Err(ClientError::StreamRejected { code, .. }) => assert_eq!(code, want),
+            other => panic!("expected StreamRejected, got {other:?}"),
         }
-        other => panic!("expected Rejected, got {other:?}"),
     }
+    client.bye().expect("clean bye");
 
     let report = server.shutdown();
     assert!(report.drained_clean);
     assert_eq!(report.metrics.counter("serve_handshake_rejects"), 7);
-    assert_eq!(report.metrics.counter("serve_sessions"), 7);
+    // Two rejected opens, plus an `unknown-stream` answer to each close
+    // that `finish` sent for a stream the server never opened.
+    assert_eq!(report.metrics.counter("serve_mux_stream_errors"), 4);
+    assert_eq!(report.metrics.counter("serve_mux_streams"), 0);
+    assert_eq!(report.metrics.counter("serve_sessions"), 8);
 }
 
 #[test]
 fn bad_frames_after_handshake_are_typed() {
     let server = quick_server();
     let addr = server.local_addr();
-    let mut hello = Vec::new();
-    put_hello(
-        &mut hello,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), 2048),
-    );
+    let mut hello = mux_hello();
+    put_mux_open(&mut hello, 1, PredictorKind::Btb.wire_code(), 2048, false);
 
-    // Unknown frame type.
-    let mut bytes = hello.clone();
-    bytes.extend_from_slice(&[0x44, 0x00]);
-    let frames = exchange(addr, &bytes);
-    assert!(matches!(frames.first(), Some(ServerFrame::HelloAck { .. })));
-    expect_error(&frames, ErrorCode::BadFrame);
+    // Unknown frame type, and a reserved opcode of the retired v1 plane.
+    for ftype in [0x44u8, 0x01] {
+        let mut bytes = hello.clone();
+        bytes.extend_from_slice(&[ftype, 0x00]);
+        let frames = exchange(addr, &bytes);
+        assert!(matches!(frames.first(), Some(ServerFrame::MuxHelloAck { .. })));
+        expect_error(&frames, ErrorCode::BadFrame);
+    }
 
     // Oversized frame header: rejected before any payload arrives.
     let mut bytes = hello.clone();
-    bytes.push(frame_type::EVENT_BATCH);
+    bytes.push(frame_type::MUX_EVENT_BATCH);
     ibp_trace::wire::put_uvarint(&mut bytes, MAX_FRAME_PAYLOAD + 1);
     expect_error(&exchange(addr, &bytes), ErrorCode::Oversized);
 
-    // Garbage payload inside a well-framed EVENT_BATCH.
+    // Garbage events inside a well-framed MUX_EVENT_BATCH for an open
+    // stream (payload: stream 1, count 3, then undecodable bytes).
     let mut bytes = hello.clone();
-    bytes.extend_from_slice(&[frame_type::EVENT_BATCH, 3, 0xFF, 0xFF, 0xFF]);
+    bytes.extend_from_slice(&[frame_type::MUX_EVENT_BATCH, 5, 1, 3, 0xFF, 0xFF, 0xFF]);
     expect_error(&exchange(addr, &bytes), ErrorCode::BadFrame);
 
-    // A batch beyond twice the advertised window is fatal.
+    // A batch beyond twice the advertised window kills its stream with a
+    // stream-scoped error; the connection survives to a clean bye.
     let mut bytes = hello.clone();
     let mut enc = EventDeltaState::new();
     let window = ServerConfig::default().window;
-    put_events_frame(&mut enc, &indirect_events(window * 2 + 1), &mut bytes);
-    expect_error(&exchange(addr, &bytes), ErrorCode::WindowOverflow);
+    put_mux_events_frame(&mut enc, 1, &indirect_events(window * 2 + 1), &mut bytes);
+    put_simple_frame(frame_type::BYE, &mut bytes);
+    let frames = exchange(addr, &bytes);
+    assert!(
+        frames.iter().any(|f| matches!(
+            f,
+            ServerFrame::MuxError {
+                stream: 1,
+                code: ErrorCode::WindowOverflow,
+                ..
+            }
+        )),
+        "missing stream-scoped overflow in {frames:?}"
+    );
+    assert!(matches!(frames.last(), Some(ServerFrame::ByeAck { events: 0 })));
 
     let report = server.shutdown();
     assert!(report.drained_clean);
-    assert_eq!(report.metrics.counter("serve_protocol_errors"), 3);
-    assert_eq!(report.metrics.counter("serve_window_overflows"), 1);
-    // The server kept serving throughout: every session got its HelloAck.
-    assert_eq!(report.metrics.counter("serve_sessions"), 4);
+    assert_eq!(report.metrics.counter("serve_protocol_errors"), 4);
+    assert_eq!(report.metrics.counter("serve_mux_window_overflows"), 1);
+    assert_eq!(report.metrics.counter("serve_clean_byes"), 1);
+    // The server kept serving throughout: every connection got its
+    // MuxHelloAck.
+    assert_eq!(report.metrics.counter("serve_sessions"), 5);
 }
 
 #[test]
@@ -193,20 +213,21 @@ fn busy_server_rejects_excess_sessions() {
     .expect("bind loopback");
     let addr = server.local_addr();
 
-    // First session occupies the only slot.
-    let mut first =
-        ServeClient::connect(addr, PredictorKind::Btb, 2048).expect("first session accepted");
+    // First connection occupies the only slot.
+    let mut first = MuxClient::connect(addr).expect("first connection accepted");
 
     // Second connection is turned away with a typed Busy.
-    match ServeClient::connect(addr, PredictorKind::Btb, 2048) {
+    match MuxClient::connect(addr) {
         Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Busy),
         other => panic!("expected Busy rejection, got {other:?}"),
     }
 
-    // The surviving session still works end to end.
-    let run = first.predict_all(&indirect_events(32)).expect("stream");
-    assert_eq!(run.events_sent(), 32);
-    first.close().expect("clean bye");
+    // The surviving connection still works end to end.
+    first.open(1, PredictorKind::Btb, 2048, false).expect("open");
+    first.send(1, &indirect_events(32)).expect("stream");
+    let outcome = first.finish(1).expect("close receipt");
+    assert_eq!(outcome.events(), 32);
+    first.bye().expect("clean bye");
 
     let report = server.shutdown();
     assert!(report.drained_clean);
@@ -219,8 +240,7 @@ fn eof_mid_session_is_not_an_error() {
     let server = quick_server();
     let addr = server.local_addr();
     {
-        let _client =
-            ServeClient::connect(addr, PredictorKind::Btb, 2048).expect("accepted");
+        let _client = MuxClient::connect(addr).expect("accepted");
         // Dropped here: the socket closes without BYE.
     }
     let report = server.shutdown();
@@ -238,12 +258,20 @@ fn shutdown_with_no_sessions_reports_clean() {
     assert_eq!(report.pool.panicked, 0);
 }
 
+/// Dropping a server that was never shut down — what a test panicking
+/// mid-run does — force-closes its live connections and returns instead
+/// of joining shards that keep accepting forever.
+#[test]
+fn dropping_a_live_server_force_closes_its_connections() {
+    let server = quick_server();
+    let client = MuxClient::connect(server.local_addr()).expect("v3 handshake");
+    drop(server);
+    assert!(client.bye().is_err(), "the connection must be gone");
+}
+
 fn mux_hello() -> Vec<u8> {
     let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::mux(PredictorKind::Btb.wire_code(), 2048),
-    );
+    put_hello(&mut bytes, &Hello::mux(PredictorKind::Btb.wire_code(), 2048));
     bytes
 }
 
@@ -342,36 +370,9 @@ fn hog_stream_dies_alone_sibling_keeps_serving() {
     let report = server.shutdown();
     assert!(report.drained_clean);
     assert_eq!(report.metrics.counter("serve_mux_window_overflows"), 1);
-    assert_eq!(report.metrics.counter("serve_window_overflows"), 0);
     assert_eq!(report.metrics.counter("serve_mux_clean_closes"), 1);
     assert_eq!(report.metrics.counter("serve_clean_byes"), 1);
     assert_eq!(report.metrics.counter("serve_events"), sibling_events);
-}
-
-/// Mux frames on a connection that negotiated v2 (the legacy plane) are
-/// a typed `mux-not-negotiated` error, never a panic or a silent drop.
-#[test]
-fn mux_frames_on_a_v2_connection_are_rejected_typed() {
-    let server = quick_server();
-    let addr = server.local_addr();
-
-    let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello {
-            version: 2,
-            predictor_code: PredictorKind::Btb.wire_code(),
-            entries: 2048,
-        },
-    );
-    put_mux_open(&mut bytes, 1, PredictorKind::Btb.wire_code(), 2048, false);
-    let frames = exchange(addr, &bytes);
-    assert!(matches!(frames.first(), Some(ServerFrame::HelloAck { .. })));
-    expect_error(&frames, ErrorCode::MuxNotNegotiated);
-
-    let report = server.shutdown();
-    assert!(report.drained_clean);
-    assert_eq!(report.metrics.counter("serve_protocol_errors"), 1);
 }
 
 /// EOF halfway through a mux event batch: the partial frame is

@@ -18,11 +18,17 @@ cd "$(dirname "$0")/.."
 echo "== static analysis (ibp-analyze --deny, L001-L010) =="
 # One denied run producing the machine-readable report, a second run
 # proving the report is byte-deterministic, the schema/threshold gate
-# on both the fresh and the committed report, and a wall-clock guard:
+# on both the fresh and the committed report, a byte comparison of the
+# two (the report is integer-only and source-derived, so any drift
+# means the call graph or the certified wire surface changed without
+# the committed copy being regenerated), and a wall-clock guard:
 # the semantic pass (parse + call graph + reachability over the whole
 # workspace) must stay under 10 seconds or it is too slow for CI.
 analyze_dir=$(mktemp -d)
 trap 'rm -rf "$analyze_dir"' EXIT
+# Build first so the clock below times the analysis, not compilation
+# (a clean checkout would otherwise spend the budget in rustc).
+cargo build -q --release --offline -p ibp-analyze
 analyze_t0=$(date +%s)
 cargo run -q --release --offline -p ibp-analyze -- --deny --json "$analyze_dir/a.json"
 cargo run -q --release --offline -p ibp-analyze -- --json "$analyze_dir/b.json"
@@ -31,6 +37,8 @@ cmp "$analyze_dir/a.json" "$analyze_dir/b.json" \
   || { echo "verify: analyze report is not byte-deterministic"; exit 1; }
 cargo run -q --release --offline -p ibp-analyze -- --check "$analyze_dir/a.json"
 cargo run -q --release --offline -p ibp-analyze -- --check results/analyze_report.json
+cmp "$analyze_dir/a.json" results/analyze_report.json \
+  || { echo "verify: analyze report drifted from committed copy"; exit 1; }
 if [ $((analyze_t1 - analyze_t0)) -ge 10 ]; then
   echo "verify: ibp-analyze took $((analyze_t1 - analyze_t0))s (budget <10s)"
   exit 1
