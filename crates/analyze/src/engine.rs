@@ -691,7 +691,7 @@ mod tests {
             },
             SourceFile {
                 path: "crates/sim/src/lib.rs".into(),
-                source: "pub fn simulate_stream(n: &Node) { n.key(); }\npub struct Node;\n"
+                source: "pub fn simulate_stream_probed(n: &Node) { n.key(); }\npub struct Node;\n"
                     .into(),
             },
             SourceFile {
@@ -713,7 +713,7 @@ mod tests {
     fn semantic_finding_suppressed_on_fn_line_covers_whole_body() {
         let src = "\
             // ibp-lint: allow(L007, \"indices masked by table size\")\n\
-            pub fn simulate_stream(t: &[u8], i: usize, j: usize) -> u8 {\n\
+            pub fn simulate_stream_probed(t: &[u8], i: usize, j: usize) -> u8 {\n\
                 t[i] + t[j]\n\
             }\n";
         let a = analyze_sources(&[SourceFile {
@@ -734,7 +734,7 @@ mod tests {
     fn stale_semantic_marker_is_l006() {
         let src = "\
             // ibp-lint: allow(L008, \"nothing allocates here\")\n\
-            pub fn simulate_stream() {}\n";
+            pub fn simulate_stream_probed() {}\n";
         let a = analyze_sources(&[SourceFile {
             path: "crates/sim/src/runner.rs".into(),
             source: src.into(),

@@ -385,7 +385,7 @@ mod tests {
     fn tiny_analysis() -> crate::engine::Analysis {
         analyze_sources(&[SourceFile {
             path: "crates/sim/src/runner.rs".into(),
-            source: "pub fn simulate_stream() { helper(); }\nfn helper() {}\n".into(),
+            source: "pub fn simulate_stream_probed() { helper(); }\nfn helper() {}\n".into(),
         }])
     }
 

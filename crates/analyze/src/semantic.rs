@@ -115,8 +115,6 @@ pub struct SemanticReport {
 /// free fn or method with that exact name (any impl), in that crate.
 const L007_ROOTS: &[(Option<&str>, &str)] = &[
     (Some("sim"), "simulate"),
-    (Some("sim"), "simulate_probed"),
-    (Some("sim"), "simulate_stream"),
     (Some("sim"), "simulate_stream_probed"),
     (Some("sim"), "simulate_window"),
     (None, "step_counted"),
@@ -126,7 +124,6 @@ const L007_ROOTS: &[(Option<&str>, &str)] = &[
     (Some("predictors"), "ittage64_update"),
 ];
 const L008_ROOTS: &[(Option<&str>, &str)] = &[
-    (Some("sim"), "simulate_stream"),
     (Some("sim"), "simulate_stream_probed"),
     (Some("sim"), "simulate_window"),
     (None, "step_counted"),
@@ -931,7 +928,7 @@ mod tests {
         let rep = run_fixture(&[(
             "crates/sim/src/runner.rs",
             "sim",
-            "pub fn simulate_stream() { helper(); }\n\
+            "pub fn simulate_stream_probed() { helper(); }\n\
              fn helper() { deep(); }\n\
              fn deep(x: Option<u32>) { x.unwrap(); }\n",
         )]);
@@ -943,7 +940,7 @@ mod tests {
         assert_eq!(l7.len(), 1, "{:?}", rep.findings.iter().map(|f| &f.diag).collect::<Vec<_>>());
         assert_eq!(l7[0].diag.line, 3);
         assert_eq!(l7[0].fn_line, Some(3));
-        assert!(l7[0].diag.message.contains("sim::simulate_stream"), "{}", l7[0].diag.message);
+        assert!(l7[0].diag.message.contains("sim::simulate_stream_probed"), "{}", l7[0].diag.message);
     }
 
     #[test]
@@ -951,7 +948,7 @@ mod tests {
         let rep = run_fixture(&[(
             "crates/sim/src/runner.rs",
             "sim",
-            "pub fn simulate_stream() { helper(); }\n\
+            "pub fn simulate_stream_probed() { helper(); }\n\
              fn helper() {}\n\
              fn island(x: Option<u32>) { x.unwrap(); }\n",
         )]);
@@ -968,7 +965,7 @@ mod tests {
         let rep = run_fixture(&[(
             "crates/sim/src/runner.rs",
             "sim",
-            "pub fn simulate_stream(t: &[u8], n: usize) -> u8 {\n\
+            "pub fn simulate_stream_probed(t: &[u8], n: usize) -> u8 {\n\
                  let a = t[n];\n\
                  let b = n / t.len();\n\
                  let c = n / 8;\n\
@@ -991,7 +988,7 @@ mod tests {
         let rep = run_fixture(&[(
             "crates/sim/src/runner.rs",
             "sim",
-            "pub fn simulate_stream(v: &mut Vec<u32>) {\n\
+            "pub fn simulate_stream_probed(v: &mut Vec<u32>) {\n\
                  v.push(1);\n\
                  let b = Box::new(2u32);\n\
                  let m = FastMap::with_capacity(8);\n\

@@ -47,7 +47,7 @@ fn suppressed_of(a: &Analysis, rule: RuleId) -> usize {
 fn l007_violation_through_call_chain() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(v: &[u8]) -> u8 { helper(v) }\n\
+        "pub fn simulate_stream_probed(v: &[u8]) -> u8 { helper(v) }\n\
          fn helper(v: &[u8]) -> u8 { deep(v) }\n\
          fn deep(v: &[u8]) -> u8 { v[0] }\n",
     )]);
@@ -62,7 +62,7 @@ fn l007_clean_when_unreachable() {
     // calls it.
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(x: u8) -> u8 { x }\n\
+        "pub fn simulate_stream_probed(x: u8) -> u8 { x }\n\
          pub fn offline(v: &[u8]) -> u8 { v[0] }\n",
     )]);
     assert!(open_of(&a, RuleId::PanicFreedom).is_empty());
@@ -72,7 +72,7 @@ fn l007_clean_when_unreachable() {
 fn l007_suppressed_by_fn_level_marker() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(v: &[u8]) -> u8 { helper(v) }\n\
+        "pub fn simulate_stream_probed(v: &[u8]) -> u8 { helper(v) }\n\
          // ibp-lint: allow(L007, \"caller guarantees v is nonempty\")\n\
          fn helper(v: &[u8]) -> u8 { v[0] }\n",
     )]);
@@ -86,7 +86,7 @@ fn l007_suppressed_by_fn_level_marker() {
 fn l008_violation_through_call_chain() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(v: &mut Vec<u8>) { grow(v) }\n\
+        "pub fn simulate_stream_probed(v: &mut Vec<u8>) { grow(v) }\n\
          fn grow(v: &mut Vec<u8>) { v.push(1); }\n",
     )]);
     let open = open_of(&a, RuleId::AllocFreedom);
@@ -98,7 +98,7 @@ fn l008_violation_through_call_chain() {
 fn l008_clean_when_unreachable() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(x: u8) -> u8 { x }\n\
+        "pub fn simulate_stream_probed(x: u8) -> u8 { x }\n\
          pub fn setup(v: &mut Vec<u8>) { v.push(1); }\n",
     )]);
     assert!(open_of(&a, RuleId::AllocFreedom).is_empty());
@@ -108,7 +108,7 @@ fn l008_clean_when_unreachable() {
 fn l008_suppressed_by_site_marker() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
-        "pub fn simulate_stream(v: &mut Vec<u8>) {\n\
+        "pub fn simulate_stream_probed(v: &mut Vec<u8>) {\n\
              // ibp-lint: allow(L008, \"admission path, bounded by the site count\")\n\
              v.push(1);\n\
          }\n",
@@ -345,7 +345,7 @@ fn stale_semantic_marker_fires_l006() {
     let a = run(&[(
         "crates/sim/src/lib.rs",
         "// ibp-lint: allow(L007, \"nothing here panics anymore\")\n\
-         pub fn simulate_stream(x: u8) -> u8 { x }\n",
+         pub fn simulate_stream_probed(x: u8) -> u8 { x }\n",
     )]);
     let open = open_of(&a, RuleId::StaleSuppression);
     assert_eq!(open.len(), 1, "stale L007 marker must fire L006: {open:?}");
@@ -362,7 +362,7 @@ fn report_render_is_byte_deterministic() {
     let files = [
         (
             "crates/sim/src/lib.rs",
-            "pub fn simulate_stream(v: &[u8]) -> u8 { helper(v) }\n\
+            "pub fn simulate_stream_probed(v: &[u8]) -> u8 { helper(v) }\n\
              fn helper(v: &[u8]) -> u8 { v[0] }\n\
              pub fn other() { unknown_callee(); }\n",
         ),

@@ -14,10 +14,7 @@ use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 0.25, "ablate_hash [scale]");
     println!("=== A5: PPM index generation variants (scale {scale}) ===\n");
     println!(
         "{:<12} {:>14} {:>12} {:>14}",

@@ -229,19 +229,17 @@ fn check(path: &str) -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--check needs a path");
-            std::process::exit(2);
-        });
+        let path = args
+            .get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| ibp_bench::usage_error("--check needs a path"));
         if let Err(msg) = check(&path) {
-            eprintln!("{msg}");
-            std::process::exit(1);
+            ibp_bench::fail(&msg);
         }
         return;
     }
     if !args.is_empty() {
-        eprintln!("usage: bitreport [--check PATH]");
-        std::process::exit(2);
+        ibp_bench::usage_error("usage: bitreport [--check PATH]");
     }
 
     let rows: Vec<KindRow> = PredictorKind::serve_lineup()
@@ -276,8 +274,7 @@ fn main() {
             class_sum,
             r.idealized,
         ) {
-            eprintln!("bitreport: {msg}");
-            std::process::exit(1);
+            ibp_bench::fail(&format!("bitreport: {msg}"));
         }
     }
 

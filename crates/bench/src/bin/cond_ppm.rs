@@ -15,10 +15,7 @@ use ibp_predictors::conditional::{direction_accuracy, Bimodal, Gshare};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 0.25, "cond_ppm [scale]");
     println!("=== §3 companion: conditional direction prediction (scale {scale}) ===\n");
     println!(
         "{:<12} {:>10} {:>10} {:>12} {:>12}",

@@ -9,10 +9,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     let label = std::env::args().nth(1).unwrap_or_else(|| "perl.std".into());
-    let scale: f64 = std::env::args()
-        .nth(2)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(2), 0.25, "diag [run-label] [scale]");
     let run = paper_suite()
         .into_iter()
         .find(|r| r.label() == label)

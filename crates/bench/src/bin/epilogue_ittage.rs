@@ -19,10 +19,7 @@ use ibp_sim::{compare_grid, PredictorKind};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 1.0, "epilogue_ittage [scale]");
     let kinds = [
         PredictorKind::Cascade,
         PredictorKind::PpmPib,
@@ -45,8 +42,7 @@ fn main() {
             .find(|k| k.label() == name)
             .copied()
             .unwrap_or_else(|| {
-                eprintln!("grid produced unknown predictor label {name}");
-                std::process::exit(1);
+                ibp_bench::fail(&format!("grid produced unknown predictor label {name}"))
             });
         let p = kind.build();
         let bits = p.report_storage().total_bits();

@@ -29,10 +29,7 @@ fn mean<F: Fn() -> Box<dyn IndirectPredictor>>(build: F, traces: &[Trace]) -> f6
 }
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 0.25, "ext_future_work [scale]");
     let traces: Vec<Trace> = paper_suite()
         .iter()
         .map(|r| r.generate_scaled(scale))

@@ -18,6 +18,7 @@
 //! every cell and prints the weighted estimates next to the exact
 //! numbers.
 
+use ibp_bench::{scale_arg, take_flag};
 use ibp_sim::report::{grid_to_csv, render_grid, render_simpoint_grid};
 use ibp_sim::{
     compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, simpoint_grid_with,
@@ -25,47 +26,23 @@ use ibp_sim::{
 };
 use ibp_workloads::paper_suite;
 
+const USAGE: &str = "fig7 [scale] [--csv] [--budget <bits>] [--metrics <path>] [--simpoint <spec>]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let budget_bits = args.iter().position(|a| a == "--budget").map(|i| {
-        let bits = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()).unwrap_or_else(|| {
-            eprintln!("--budget needs a storage budget in bits");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        bits
+    let budget_bits = take_flag(&mut args, "--budget", |s| {
+        s.parse::<u64>().map_err(|_| format!("{s:?} is not a storage budget in bits"))
     });
-    let metrics_path = args.iter().position(|a| a == "--metrics").map(|i| {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("usage: fig7 [scale] [--csv] [--metrics <path>]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        path
-    });
-    let simpoint = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
+    let metrics_path = take_flag(&mut args, "--metrics", |s| Ok(s.to_string()));
+    let simpoint = take_flag(&mut args, "--simpoint", SimPointConfig::parse_flag);
     let csv = args.iter().any(|a| a == "--csv");
     args.retain(|a| a != "--csv");
-    let scale: f64 = args
-        .first()
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = scale_arg(args.first().cloned(), 1.0, USAGE);
     let runs = paper_suite();
     let kinds = PredictorKind::figure7();
     if let Some(bits) = budget_bits {
         if metrics_path.is_some() || simpoint.is_some() {
-            eprintln!("--budget combines with --csv only (not --metrics/--simpoint)");
-            std::process::exit(2);
+            ibp_bench::usage_error("--budget combines with --csv only (not --metrics/--simpoint)");
         }
         let grid = compare_grid_at_bits(&Executor::from_env(), &kinds, &runs, scale, bits);
         if csv {
@@ -79,10 +56,8 @@ fn main() {
     let grid = if let Some(path) = &metrics_path {
         let (grid, metrics) = metrics_grid(&kinds, &runs, scale);
         let json = metrics_to_json(&metrics);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        std::fs::write(path, &json)
+            .unwrap_or_else(|e| ibp_bench::fail(&format!("cannot write {path}: {e}")));
         eprintln!("metrics written to {path}");
         grid
     } else {

@@ -29,6 +29,7 @@
 //! least one evict/restore cycle happened and that every receipt still
 //! balanced — eviction must be invisible to the ledger.
 
+use ibp_bench::parse_num;
 use ibp_exec::Executor;
 use ibp_serve::{MuxClient, Server, ServerConfig};
 use ibp_sim::{Json, PredictorKind};
@@ -70,18 +71,14 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
+            it.next().unwrap_or_else(|| ibp_bench::usage_error(&format!("{what} needs a value")))
         };
         match a.as_str() {
             "--trace" => args.trace = value("--trace"),
             "--predictor" => {
                 let name = value("--predictor");
                 args.predictor = PredictorKind::from_cli_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown predictor {name}");
-                    std::process::exit(2);
+                    ibp_bench::usage_error(&format!("unknown predictor {name}"))
                 });
             }
             "--conns" | "--sessions" => args.conns = parse_num(&value("--conns"), "--conns"),
@@ -102,8 +99,7 @@ fn parse_args() -> Args {
             "--check" => {
                 let path = value("--check");
                 if let Err(msg) = check(&path) {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
+                    ibp_bench::fail(&msg);
                 }
                 std::process::exit(0);
             }
@@ -118,8 +114,7 @@ fn parse_args() -> Args {
                 args.passes = 1;
             }
             other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                ibp_bench::usage_error(&format!("unknown flag {other}"));
             }
         }
     }
@@ -129,13 +124,6 @@ fn parse_args() -> Args {
     args.passes = args.passes.clamp(1, 1000);
     args.window = args.window.clamp(2, 8192);
     args
-}
-
-fn parse_num(s: &str, what: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{what}: {s} is not a number");
-        std::process::exit(2);
-    })
 }
 
 /// One connection's replay: latency samples (ns) plus totals. The
@@ -150,8 +138,7 @@ struct ConnOutcome {
 }
 
 fn die(context: &str, err: impl std::fmt::Display) -> ! {
-    eprintln!("{context}: {err}");
-    std::process::exit(1);
+    ibp_bench::fail(&format!("{context}: {err}"))
 }
 
 /// Drives one v3 connection: open every stream, rendezvous with the
@@ -273,10 +260,8 @@ fn check(path: &str) -> Result<(), String> {
 fn load_events(path: &str) -> Vec<BranchEvent> {
     match std::fs::read(path) {
         Ok(bytes) => {
-            let trace = codec::decode(&bytes).unwrap_or_else(|e| {
-                eprintln!("cannot decode {path}: {e}");
-                std::process::exit(1);
-            });
+            let trace = codec::decode(&bytes)
+                .unwrap_or_else(|e| ibp_bench::fail(&format!("cannot decode {path}: {e}")));
             trace.iter().copied().collect()
         }
         Err(_) => {
@@ -289,10 +274,9 @@ fn load_events(path: &str) -> Vec<BranchEvent> {
                 .into_iter()
                 .find(|r| r.label() == stem)
                 .unwrap_or_else(|| {
-                    eprintln!(
+                    ibp_bench::fail(&format!(
                         "cannot read {path} and {stem:?} is not a paper-suite run label"
-                    );
-                    std::process::exit(1);
+                    ))
                 });
             run.generate().iter().copied().collect()
         }
@@ -328,10 +312,7 @@ fn main() {
         compact: args.compact,
         ..ServerConfig::default()
     })
-    .unwrap_or_else(|e| {
-        eprintln!("cannot start server: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| ibp_bench::fail(&format!("cannot start server: {e}")));
     let addr = server.local_addr();
 
     let opened = Barrier::new(args.conns);

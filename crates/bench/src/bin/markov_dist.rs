@@ -12,10 +12,7 @@ use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 1.0, "markov_dist [scale]");
     println!("=== E4: Markov component access/miss distribution (PPM-hyb, scale {scale}) ===\n");
     println!(
         "{:<12} {:>12} {:>14} {:>12} {:>12}",
@@ -23,11 +20,7 @@ fn main() {
     );
     let mut all_ok = true;
     for run in paper_suite() {
-        let trace = if (scale - 1.0).abs() < f64::EPSILON {
-            run.generate()
-        } else {
-            run.generate_scaled(scale)
-        };
+        let trace = run.generate_scaled(scale);
         let mut ppm = PpmHybrid::paper();
         let _ = simulate(&mut ppm, &trace);
         let stats = ppm.order_stats();

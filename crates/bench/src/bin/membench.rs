@@ -28,6 +28,7 @@
 //! headline claim that the summed tier-fork footprint undercuts the
 //! summed private-plain footprint — and exits.
 
+use ibp_bench::parse_num;
 use ibp_sim::{snapshot_session, BaseTier, Json, PredictorKind, TableEncoding};
 use ibp_trace::BranchEvent;
 use ibp_workloads::paper_suite;
@@ -40,13 +41,6 @@ struct Args {
     iters: u32,
 }
 
-fn parse_num(s: &str, what: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{what}: {s} is not a number");
-        std::process::exit(2);
-    })
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         entries: 2048,
@@ -57,10 +51,7 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
+            it.next().unwrap_or_else(|| ibp_bench::usage_error(&format!("{what} needs a value")))
         };
         match a.as_str() {
             "--entries" => args.entries = parse_num(&value("--entries"), "--entries") as u64,
@@ -79,14 +70,12 @@ fn parse_args() -> Args {
             "--check" => {
                 let path = value("--check");
                 if let Err(msg) = check(&path) {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
+                    ibp_bench::fail(&msg);
                 }
                 std::process::exit(0);
             }
             other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                ibp_bench::usage_error(&format!("unknown flag {other}"));
             }
         }
     }
@@ -103,10 +92,7 @@ fn load_events(total: usize) -> Vec<BranchEvent> {
     let run = paper_suite()
         .into_iter()
         .find(|r| r.label() == "gs.tig")
-        .unwrap_or_else(|| {
-            eprintln!("paper suite lost its gs.tig run");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|| ibp_bench::fail("paper suite lost its gs.tig run"));
     let trace = run.generate();
     trace.iter().copied().cycle().take(total).collect()
 }
@@ -157,15 +143,13 @@ fn measure(kind: PredictorKind, args: &Args, events: &[BranchEvent]) -> KindRow 
         match tier.restore(&blob) {
             Ok(session) => restored_events += session.events(),
             Err(e) => {
-                eprintln!("{}: restore failed: {e:?}", kind.label());
-                std::process::exit(1);
+                ibp_bench::fail(&format!("{}: restore failed: {e:?}", kind.label()));
             }
         }
     }
     let restore_ns = started.elapsed().as_nanos().max(1) as f64;
     if restored_events != args.iters as u64 * fork.events() {
-        eprintln!("{}: restored sessions lost events", kind.label());
-        std::process::exit(1);
+        ibp_bench::fail(&format!("{}: restored sessions lost events", kind.label()));
     }
 
     KindRow {

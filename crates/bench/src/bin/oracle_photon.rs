@@ -11,19 +11,12 @@ use ibp_sim::{simulate, PredictorKind};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 1.0, "oracle_photon [scale]");
     let photon = paper_suite()
         .into_iter()
         .find(|r| r.spec().name == "photon")
         .expect("photon is in the suite");
-    let trace = if (scale - 1.0).abs() < f64::EPSILON {
-        photon.generate()
-    } else {
-        photon.generate_scaled(scale)
-    };
+    let trace = photon.generate_scaled(scale);
 
     println!("=== E5: complete-PIB-path oracle on photon (scale {scale}) ===\n");
     println!("{:<6} {:>10} {:>12}", "path", "accuracy", "mispredict");

@@ -35,8 +35,7 @@ fn parse_kind(name: &str) -> Option<PredictorKind> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(path) = args.first() else {
-        eprintln!("usage: runpredict <trace-file> [predictor ...] [--worst N]");
-        std::process::exit(2);
+        ibp_bench::usage_error("usage: runpredict <trace-file> [predictor ...] [--worst N]");
     };
     let mut kinds = Vec::new();
     let mut worst = 0usize;
@@ -50,22 +49,17 @@ fn main() {
         } else if let Some(kind) = parse_kind(a) {
             kinds.push(kind);
         } else {
-            eprintln!("unknown predictor {a}");
-            std::process::exit(2);
+            ibp_bench::usage_error(&format!("unknown predictor {a}"));
         }
     }
     if kinds.is_empty() {
         kinds = PredictorKind::figure6();
     }
 
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let trace = codec::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("cannot decode {path}: {e}");
-        std::process::exit(1);
-    });
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| ibp_bench::fail(&format!("cannot read {path}: {e}")));
+    let trace = codec::decode(&bytes)
+        .unwrap_or_else(|e| ibp_bench::fail(&format!("cannot decode {path}: {e}")));
     let stats = trace.stats();
     println!(
         "{path}: {} events, {} MT indirect, {} static sites, {:.1}M instructions\n",

@@ -96,17 +96,13 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
+            it.next().unwrap_or_else(|| ibp_bench::usage_error(&format!("{what} needs a value")))
         };
         match a.as_str() {
             "--events" => {
-                args.events = value("--events").parse().unwrap_or_else(|_| {
-                    eprintln!("--events wants a number");
-                    std::process::exit(2);
-                });
+                args.events = value("--events")
+                    .parse()
+                    .unwrap_or_else(|_| ibp_bench::usage_error("--events wants a number"));
             }
             "--quick" => args.events = 2_000_000,
             "--validate" => args.validate = true,
@@ -115,21 +111,18 @@ fn parse_args() -> Args {
             "--simpoint" => {
                 args.cfg =
                     Some(SimPointConfig::parse_flag(&value("--simpoint")).unwrap_or_else(|e| {
-                        eprintln!("--simpoint: {e}");
-                        std::process::exit(2);
+                        ibp_bench::usage_error(&format!("--simpoint: {e}"))
                     }));
             }
             "--check" => {
                 let path = value("--check");
                 if let Err(msg) = check(&path) {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
+                    ibp_bench::fail(&msg);
                 }
                 std::process::exit(0);
             }
             other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                ibp_bench::usage_error(&format!("unknown flag {other}"));
             }
         }
     }
@@ -157,7 +150,7 @@ fn validate(args: &Args) -> i32 {
     let mut worst_run = String::new();
     for run in paper_suite() {
         let trace = run.generate();
-        let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::PpmHyb.simulate_trace(&trace);
         let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, cfg, &exec);
         let err = (sampled.estimate.misprediction_ratio() - full.misprediction_ratio()).abs()
             * 100.0;
@@ -219,10 +212,7 @@ fn bench(args: &Args) -> i32 {
     let run = paper_suite()
         .into_iter()
         .find(|r| r.label() == "gs.tig")
-        .unwrap_or_else(|| {
-            eprintln!("paper suite lost its gs.tig run");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|| ibp_bench::fail("paper suite lost its gs.tig run"));
     let stream = run.stream();
     // Size the iteration count from one generated iteration.
     let per_iter = {

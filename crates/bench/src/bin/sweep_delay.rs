@@ -13,6 +13,7 @@
 //! estimates (one clustering per trace, shared across the kind × delay
 //! product). `IBP_THREADS=n` pins the pool size.
 
+use ibp_bench::{scale_arg, take_flag};
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
 use ibp_sim::{
@@ -122,23 +123,12 @@ fn print_estimates(
     println!("worst per-cell |est − exact|: {:.3}pp", worst * 100.0);
 }
 
+const USAGE: &str = "sweep_delay [scale] [--simpoint <spec>]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let simpoint_cfg = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
-    let scale: f64 = args
-        .first()
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.15);
+    let simpoint_cfg = take_flag(&mut args, "--simpoint", SimPointConfig::parse_flag);
+    let scale = scale_arg(args.first().cloned(), 0.15, USAGE);
     let exec = Executor::from_env();
     let suite = paper_suite();
     let traces: Vec<Trace> = exec.map(&suite, |_, r| r.generate_scaled(scale));

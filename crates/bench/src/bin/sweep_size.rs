@@ -17,6 +17,7 @@
 //! floor overshoots; excludes `--simpoint`). `IBP_THREADS=n` pins the
 //! pool size.
 
+use ibp_bench::{scale_arg, take_flag};
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
 use ibp_sim::{
@@ -62,38 +63,17 @@ fn print_bit_means(kinds: &[PredictorKind], bit_budgets: &[u64], traces: usize, 
     }
 }
 
+const USAGE: &str = "sweep_size [scale] [--budget b1,b2,...] [--simpoint <spec>]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bit_budgets = args.iter().position(|a| a == "--budget").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--budget needs a comma-separated list of bit budgets");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
+    let bit_budgets = take_flag(&mut args, "--budget", |spec| {
         spec.split(',')
-            .map(|s| {
-                s.trim().parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("--budget: {s:?} is not a bit count");
-                    std::process::exit(2);
-                })
-            })
-            .collect::<Vec<u64>>()
+            .map(|s| s.trim().parse::<u64>().map_err(|_| format!("{s:?} is not a bit count")))
+            .collect::<Result<Vec<u64>, String>>()
     });
-    let simpoint = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
-    let scale: f64 = args
-        .first()
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let simpoint = take_flag(&mut args, "--simpoint", SimPointConfig::parse_flag);
+    let scale = scale_arg(args.first().cloned(), 0.25, USAGE);
     let budgets = [512usize, 1024, 2048, 4096, 8192];
     let mut kinds = PredictorKind::figure6();
     let runs = paper_suite();
@@ -102,8 +82,7 @@ fn main() {
 
     if let Some(bits) = &bit_budgets {
         if simpoint.is_some() {
-            eprintln!("--budget excludes --simpoint");
-            std::process::exit(2);
+            ibp_bench::usage_error("--budget excludes --simpoint");
         }
         // Equal-bits columns: resolve each (kind, bit budget) to its
         // largest fitting entry configuration once, then fan the product
@@ -124,7 +103,7 @@ fn main() {
             let trace = &traces[i % traces.len()];
             match sized[slot] {
                 Some(entries) => kind
-                    .simulate_with_entries(entries, trace)
+                    .simulate_events(entries, trace.iter().copied())
                     .misprediction_ratio(),
                 None => f64::NAN,
             }
@@ -142,7 +121,7 @@ fn main() {
         let kind = kinds[i / (budgets.len() * traces.len())];
         let budget = budgets[(i / traces.len()) % budgets.len()];
         let trace = &traces[i % traces.len()];
-        kind.simulate_with_entries(budget, trace)
+        kind.simulate_events(budget, trace.iter().copied())
             .misprediction_ratio()
     });
 

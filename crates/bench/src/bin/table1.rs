@@ -11,10 +11,7 @@
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 1.0, "table1 [scale]");
     println!("=== Table 1: dynamic benchmark characteristics (scale {scale}) ===\n");
     println!(
         "{:<10} {:>6} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}",
@@ -23,11 +20,7 @@ fn main() {
     let mut total_instr = 0u64;
     let mut total_mt = 0u64;
     for run in paper_suite() {
-        let trace = if (scale - 1.0).abs() < f64::EPSILON {
-            run.generate()
-        } else {
-            run.generate_scaled(scale)
-        };
+        let trace = run.generate_scaled(scale);
         let stats = trace.stats();
         println!(
             "{:<10} {:>6} {:>10.2} {:>10} {:>10} {:>9} {:>9} {:>8}",

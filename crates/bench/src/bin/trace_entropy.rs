@@ -17,10 +17,7 @@ use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.1);
+    let scale = ibp_bench::scale_arg(std::env::args().nth(1), 0.1, "trace_entropy [scale]");
     println!("=== branch streams under the PPM *compressor* (scale {scale}) ===\n");
     println!(
         "{:<12} {:>10} {:>14} {:>16}",

@@ -43,8 +43,7 @@ fn main() {
                 out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
             }
             other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                ibp_bench::usage_error(&format!("unknown flag {other}"));
             }
         }
     }
@@ -54,15 +53,10 @@ fn main() {
         .filter(|r| label == "all" || r.label() == label)
         .collect();
     if runs.is_empty() {
-        eprintln!("unknown run {label}");
-        std::process::exit(2);
+        ibp_bench::usage_error(&format!("unknown run {label}"));
     }
     for run in runs {
-        let trace = if (scale - 1.0).abs() < f64::EPSILON {
-            run.generate()
-        } else {
-            run.generate_scaled(scale)
-        };
+        let trace = run.generate_scaled(scale);
         let stats = trace.stats();
         if text {
             let path = out_dir.join(format!("{}.trace.txt", run.label()));

@@ -8,7 +8,7 @@
 use ibp_exec::Executor;
 use ibp_metrics::Probe;
 use ibp_serve::{MuxClient, Server, ServerConfig};
-use ibp_sim::{simulate, simulate_probed, PredictorKind, RunResult};
+use ibp_sim::{simulate, simulate_stream_probed, PredictorKind, RunResult};
 use ibp_trace::{BranchEvent, Trace};
 use ibp_workloads::paper_suite;
 
@@ -41,7 +41,7 @@ impl Probe for OutcomeProbe {
 fn offline(kind: PredictorKind, trace: &Trace) -> (RunResult, Vec<(u64, bool)>) {
     let mut predictor = kind.build_with_entries(ENTRIES as usize);
     let mut probe = OutcomeProbe::default();
-    let result = simulate_probed(predictor.as_mut(), trace, &mut probe);
+    let result = simulate_stream_probed(predictor.as_mut(), trace.iter().copied(), &mut probe);
     let mut again = kind.build_with_entries(ENTRIES as usize);
     assert_eq!(
         simulate(again.as_mut(), trace),

@@ -116,14 +116,60 @@ impl GridResult {
     }
 }
 
-/// Generates a benchmark run's trace at `scale` (`1.0` = the full figure
-/// trace, bit-identical to `run.generate()`).
-pub(crate) fn generate_trace(run: &BenchmarkRun, scale: f64) -> Trace {
-    if (scale - 1.0).abs() < f64::EPSILON {
-        run.generate()
-    } else {
-        run.generate_scaled(scale)
+impl GridCell {
+    /// The cell for one run's simulation result.
+    pub(crate) fn from_result(run: &str, result: &RunResult) -> Self {
+        GridCell {
+            run: run.to_string(),
+            predictor: result.predictor().to_string(),
+            ratio: result.misprediction_ratio(),
+            predictions: result.predictions(),
+        }
     }
+}
+
+/// The predictor-independent half of every grid: run labels and the
+/// traces, generated in parallel over benchmark runs (`scale = 1.0` is
+/// the full figure trace: `generate_scaled(1.0)` runs exactly
+/// `generate()`'s iteration count).
+pub(crate) struct GridSetup {
+    pub(crate) run_labels: Vec<String>,
+    pub(crate) traces: Vec<Trace>,
+}
+
+impl GridSetup {
+    pub(crate) fn new(exec: &Executor, runs: &[BenchmarkRun], scale: f64) -> Self {
+        GridSetup {
+            run_labels: runs.iter().map(|r| r.label()).collect(),
+            traces: exec.map(runs, |_, run| run.generate_scaled(scale)),
+        }
+    }
+
+    /// Evaluates `cell` for every (run, `(kind, entries)`) pair, one pool
+    /// task per pair, committed in row-major (run, then lineup) order so
+    /// the result is bit-identical to a serial evaluation for any worker
+    /// count.
+    pub(crate) fn cells<T, F>(
+        &self,
+        exec: &Executor,
+        lineup: &[(PredictorKind, usize)],
+        cell: F,
+    ) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&str, PredictorKind, usize, &Trace) -> T + Sync,
+    {
+        exec.run(self.traces.len() * lineup.len(), |i| {
+            let (run_idx, kind_idx) = (i / lineup.len(), i % lineup.len());
+            let (kind, entries) = lineup[kind_idx];
+            cell(&self.run_labels[run_idx], kind, entries, &self.traces[run_idx])
+        })
+    }
+}
+
+/// Every kind at the paper's 2K-entry budget.
+pub(crate) fn at_paper_budget(kinds: &[PredictorKind]) -> Vec<(PredictorKind, usize)> {
+    kinds.iter().map(|&k| (k, 2048)).collect()
 }
 
 /// Runs every predictor kind over every benchmark run at `scale` of the
@@ -143,7 +189,7 @@ pub fn compare_grid(kinds: &[PredictorKind], runs: &[BenchmarkRun], scale: f64) 
 /// then every (run, predictor) pair becomes one task on the pool — a slow
 /// predictor occupies one worker while the rest of the product proceeds.
 /// Each task monomorphizes its simulation loop via
-/// [`PredictorKind::simulate_trace`]. Cells are committed in row-major
+/// [`PredictorKind::simulate_events`]. Cells are committed in row-major
 /// (run, then predictor) grid order, so the result is bit-identical to a
 /// serial evaluation for any worker count.
 pub fn compare_grid_with(
@@ -152,20 +198,7 @@ pub fn compare_grid_with(
     runs: &[BenchmarkRun],
     scale: f64,
 ) -> GridResult {
-    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| generate_trace(run, scale));
-    let cells = exec.run(runs.len() * kinds.len(), |i| {
-        let (run_idx, kind_idx) = (i / kinds.len(), i % kinds.len());
-        let result: RunResult = kinds[kind_idx].simulate_trace(&traces[run_idx]);
-        GridCell {
-            run: run_labels[run_idx].clone(),
-            predictor: result.predictor().to_string(),
-            ratio: result.misprediction_ratio(),
-            predictions: result.predictions(),
-        }
-    });
-    GridResult::from_parts(predictors, run_labels, cells)
+    compare_lineup(exec, &at_paper_budget(kinds), runs, scale)
 }
 
 /// [`compare_grid_with`] at an equal-bits budget: every kind is resized
@@ -181,25 +214,25 @@ pub fn compare_grid_at_bits(
     scale: f64,
     budget_bits: u64,
 ) -> GridResult {
-    let sized: Vec<(PredictorKind, usize)> = kinds
+    let lineup: Vec<(PredictorKind, usize)> = kinds
         .iter()
         .filter_map(|&k| k.entries_for_budget(budget_bits).map(|e| (k, e)))
         .collect();
-    let predictors: Vec<String> = sized.iter().map(|(k, _)| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| generate_trace(run, scale));
-    let cells = exec.run(runs.len() * sized.len(), |i| {
-        let (run_idx, kind_idx) = (i / sized.len(), i % sized.len());
-        let (kind, entries) = sized[kind_idx];
-        let result: RunResult = kind.simulate_with_entries(entries, &traces[run_idx]);
-        GridCell {
-            run: run_labels[run_idx].clone(),
-            predictor: result.predictor().to_string(),
-            ratio: result.misprediction_ratio(),
-            predictions: result.predictions(),
-        }
+    compare_lineup(exec, &lineup, runs, scale)
+}
+
+fn compare_lineup(
+    exec: &Executor,
+    lineup: &[(PredictorKind, usize)],
+    runs: &[BenchmarkRun],
+    scale: f64,
+) -> GridResult {
+    let setup = GridSetup::new(exec, runs, scale);
+    let cells = setup.cells(exec, lineup, |run, kind, entries, trace| {
+        GridCell::from_result(run, &kind.simulate_events(entries, trace.iter().copied()))
     });
-    GridResult::from_parts(predictors, run_labels, cells)
+    let predictors = lineup.iter().map(|(k, _)| k.label()).collect();
+    GridResult::from_parts(predictors, setup.run_labels, cells)
 }
 
 #[cfg(test)]

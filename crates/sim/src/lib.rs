@@ -12,7 +12,10 @@
 //!
 //! Modules:
 //!
-//! * [`runner`] — the per-trace simulation loop and its results;
+//! * [`runner`] — the paper's per-event protocol (one step on
+//!   [`RunResult`]), the offline loop over it, and its results;
+//! * [`stepper`] — batched session stepping for the serve plane, over the
+//!   same step;
 //! * [`zoo`] — a name-addressable factory over every predictor in the
 //!   workspace, scalable by table budget (for the sweep ablations);
 //! * [`compare`] — grids of (predictor × benchmark run), i.e. Figures 6
@@ -44,9 +47,7 @@ pub use metrics::{
     metrics_grid, metrics_grid_with, metrics_to_json, predictor_snapshot, MetricsCell,
     MetricsGrid, METRICS_SCHEMA_VERSION,
 };
-pub use runner::{
-    ras_accuracy, simulate, simulate_probed, simulate_stream, simulate_stream_probed, RunResult,
-};
+pub use runner::{ras_accuracy, simulate, simulate_stream_probed, RunResult};
 pub use simpoint::{
     cluster_signatures, signatures_of, simpoint_from_phases, simpoint_grid_with,
     simpoint_snapshot, simpoint_streamed, simpoint_streamed_chained, simpoint_streamed_prepped,

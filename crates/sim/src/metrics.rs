@@ -12,13 +12,12 @@
 //! ([`METRICS_SCHEMA_VERSION`]); a golden test in `tests/suite_pins.rs`
 //! pins the emitted bytes.
 
-use crate::compare::{generate_trace, GridCell, GridResult};
+use crate::compare::{at_paper_budget, GridCell, GridResult, GridSetup};
 use crate::json::Json;
 use crate::zoo::PredictorKind;
 use ibp_exec::Executor;
 use ibp_metrics::MetricsSnapshot;
 use ibp_predictors::IndirectPredictor;
-use ibp_trace::Trace;
 use ibp_workloads::BenchmarkRun;
 
 /// Version stamped into every metrics report. Bump when renaming or
@@ -144,34 +143,21 @@ pub fn metrics_grid_with(
     runs: &[BenchmarkRun],
     scale: f64,
 ) -> (GridResult, MetricsGrid) {
-    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| generate_trace(run, scale));
-    let pairs = exec.run(runs.len() * kinds.len(), |i| {
-        let (run_idx, kind_idx) = (i / kinds.len(), i % kinds.len());
-        let (result, snapshot) = kinds[kind_idx].simulate_trace_metrics(&traces[run_idx]);
-        let grid_cell = GridCell {
-            run: run_labels[run_idx].clone(),
-            predictor: result.predictor().to_string(),
-            ratio: result.misprediction_ratio(),
-            predictions: result.predictions(),
-        };
+    let setup = GridSetup::new(exec, runs, scale);
+    let pairs = setup.cells(exec, &at_paper_budget(kinds), |run, kind, _, trace| {
+        let (result, snapshot) = kind.simulate_trace_metrics(trace);
         let metrics_cell = MetricsCell {
-            run: grid_cell.run.clone(),
-            predictor: grid_cell.predictor.clone(),
+            run: run.to_string(),
+            predictor: result.predictor().to_string(),
             snapshot,
         };
-        (grid_cell, metrics_cell)
+        (GridCell::from_result(run, &result), metrics_cell)
     });
-    let mut grid_cells = Vec::with_capacity(pairs.len());
-    let mut metric_cells = Vec::with_capacity(pairs.len());
-    for (g, m) in pairs {
-        grid_cells.push(g);
-        metric_cells.push(m);
-    }
+    let (grid_cells, metric_cells) = pairs.into_iter().unzip();
+    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
     (
-        GridResult::from_parts(predictors.clone(), run_labels.clone(), grid_cells),
-        MetricsGrid::from_parts(predictors, run_labels, scale, metric_cells),
+        GridResult::from_parts(predictors.clone(), setup.run_labels.clone(), grid_cells),
+        MetricsGrid::from_parts(predictors, setup.run_labels, scale, metric_cells),
     )
 }
 

@@ -1,10 +1,10 @@
-//! The per-trace simulation loop.
+//! The paper's per-event protocol and the offline simulation loop over it.
 
 use ibp_exec::FastMap;
 use ibp_isa::Addr;
 use ibp_metrics::{NullProbe, Probe};
 use ibp_predictors::{IndirectPredictor, ReturnAddressStack};
-use ibp_trace::Trace;
+use ibp_trace::{BranchEvent, Trace};
 
 /// Initial capacity of the per-branch accounting map: covers every suite
 /// workload's static site population without a mid-simulation rehash.
@@ -21,6 +21,67 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// An empty result for the predictor named `predictor`, its
+    /// per-branch map pre-sized for the suite's static site population.
+    pub(crate) fn new(predictor: String) -> Self {
+        Self {
+            predictor,
+            predictions: 0,
+            mispredictions: 0,
+            // ibp-lint: allow(L008, "per-run result map pre-sized once before the event loop")
+            per_branch: FastMap::with_capacity(PER_BRANCH_CAPACITY),
+        }
+    }
+
+    /// The paper's §5 per-event protocol, the one body every counted
+    /// loop runs: a multi-target indirect branch is predicted,
+    /// counted here, then updated with its resolved target; every event
+    /// is observed. Returns `Some((correct, predicted))` for a predicted
+    /// event and `None` otherwise.
+    ///
+    /// The probe only receives values the step already computed, so it
+    /// cannot perturb prediction; with [`NullProbe`] its calls compile
+    /// away.
+    #[inline(always)]
+    pub(crate) fn step_event<P, Pr>(
+        &mut self,
+        predictor: &mut P,
+        event: &BranchEvent,
+        probe: &mut Pr,
+    ) -> Option<(bool, Option<Addr>)>
+    where
+        P: IndirectPredictor + ?Sized,
+        Pr: Probe,
+    {
+        probe.on_event();
+        let mut outcome = None;
+        if event.class().is_predicted_indirect() {
+            let predicted = predictor.predict(event.pc());
+            let actual = event.target();
+            let correct = predicted == Some(actual);
+            probe.on_prediction(event.pc().raw(), correct);
+            self.predictions += 1;
+            let entry = self
+                .per_branch
+                // ibp-lint: allow(L008, "per-branch tally admission: bounded by the static branch count")
+                .or_insert_with(event.pc().raw(), || (0, 0));
+            entry.0 += 1;
+            if !correct {
+                self.mispredictions += 1;
+                entry.1 += 1;
+            }
+            predictor.update(event.pc(), actual);
+            outcome = Some((correct, predicted));
+        }
+        predictor.observe(event);
+        outcome
+    }
+
+    /// Number of static sites in the per-branch ledger.
+    pub(crate) fn sites(&self) -> usize {
+        self.per_branch.len()
+    }
+
     /// Reassembles a result from its parts — the inverse of the
     /// accessors, used by the JSON report codec and by tools replaying
     /// saved results.
@@ -30,12 +91,11 @@ impl RunResult {
         mispredictions: u64,
         per_branch: impl IntoIterator<Item = (u64, (u64, u64))>,
     ) -> Self {
-        Self {
-            predictor,
-            predictions,
-            mispredictions,
-            per_branch: per_branch.into_iter().collect(),
-        }
+        let mut result = Self::new(predictor);
+        result.predictions = predictions;
+        result.mispredictions = mispredictions;
+        result.per_branch.extend(per_branch);
+        result
     }
 
     /// The predictor's name.
@@ -99,72 +159,28 @@ impl RunResult {
 /// The predictor is *not* reset first; callers wanting a cold start (all
 /// experiments here do) should pass a fresh predictor.
 pub fn simulate<P: IndirectPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> RunResult {
-    simulate_stream(predictor, trace.iter().copied())
+    simulate_stream_probed(predictor, trace.iter().copied(), &mut NullProbe)
 }
 
-/// [`simulate`] with an observation probe attached.
+/// Drives any event iterator through the predictor with an observation
+/// probe attached, without materializing a [`Trace`]: the loop every
+/// offline entry point funnels into, over [`RunResult::step_event`].
 ///
 /// The loop is monomorphized per probe type: with
 /// [`ibp_metrics::NullProbe`] (what [`simulate`] passes) the probe calls
 /// are empty `#[inline(always)]` bodies that compile away, so the
-/// uninstrumented path pays nothing. Probes only receive values the loop
-/// already computed — they cannot perturb prediction, and the
-/// differential suite (`tests/differential.rs`) checks that instrumented
-/// and uninstrumented grids are byte-identical.
-pub fn simulate_probed<P, Pr>(predictor: &mut P, trace: &Trace, probe: &mut Pr) -> RunResult
-where
-    P: IndirectPredictor + ?Sized,
-    Pr: Probe,
-{
-    simulate_stream_probed(predictor, trace.iter().copied(), probe)
-}
-
-/// Streaming form of [`simulate`]: drives any event iterator through the
-/// predictor without materializing a [`Trace`] — suitable for replaying
-/// trace files larger than memory, one decode window at a time.
-pub fn simulate_stream<P, I>(predictor: &mut P, events: I) -> RunResult
-where
-    P: IndirectPredictor + ?Sized,
-    I: IntoIterator<Item = ibp_trace::BranchEvent>,
-{
-    simulate_stream_probed(predictor, events, &mut NullProbe)
-}
-
-/// Streaming form of [`simulate_probed`]; the single loop body every
-/// simulate entry point funnels into.
+/// uninstrumented path pays nothing. The differential suite
+/// (`tests/differential.rs`) checks that instrumented and uninstrumented
+/// grids are byte-identical.
 pub fn simulate_stream_probed<P, I, Pr>(predictor: &mut P, events: I, probe: &mut Pr) -> RunResult
 where
     P: IndirectPredictor + ?Sized,
-    I: IntoIterator<Item = ibp_trace::BranchEvent>,
+    I: IntoIterator<Item = BranchEvent>,
     Pr: Probe,
 {
-    let mut result = RunResult {
-        predictor: predictor.name(),
-        predictions: 0,
-        mispredictions: 0,
-        // ibp-lint: allow(L008, "per-run result map pre-sized once before the event loop")
-        per_branch: FastMap::with_capacity(PER_BRANCH_CAPACITY),
-    };
+    let mut result = RunResult::new(predictor.name());
     for event in events {
-        probe.on_event();
-        if event.class().is_predicted_indirect() {
-            let predicted = predictor.predict(event.pc());
-            let actual = event.target();
-            let correct = predicted == Some(actual);
-            probe.on_prediction(event.pc().raw(), correct);
-            result.predictions += 1;
-            let entry = result
-                .per_branch
-                // ibp-lint: allow(L008, "per-branch tally admission: bounded by the static branch count")
-                .or_insert_with(event.pc().raw(), || (0, 0));
-            entry.0 += 1;
-            if !correct {
-                result.mispredictions += 1;
-                entry.1 += 1;
-            }
-            predictor.update(event.pc(), actual);
-        }
-        predictor.observe(&event);
+        result.step_event(predictor, &event, probe);
     }
     result
 }
@@ -195,7 +211,6 @@ pub fn ras_accuracy(trace: &Trace, depth: usize) -> f64 {
 mod tests {
     use super::*;
     use ibp_predictors::Btb;
-    use ibp_trace::BranchEvent;
 
     fn mini_trace() -> Trace {
         let pc = Addr::new(0x40);
@@ -285,7 +300,7 @@ mod tests {
         let mut a = Btb::new(64);
         let ra = simulate(&mut a, &trace);
         let mut b = Btb::new(64);
-        let rb = super::simulate_stream(&mut b, trace.iter().copied());
+        let rb = simulate_stream_probed(&mut b, trace.iter().copied(), &mut NullProbe);
         assert_eq!(ra, rb);
     }
 

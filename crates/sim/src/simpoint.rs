@@ -29,10 +29,11 @@
 //! methodology; `simbench --validate` regenerates the committed
 //! weighted-vs-full differential report.
 
-use crate::runner::{simulate_stream, RunResult};
+use crate::compare::{GridCell, GridResult, GridSetup};
+use crate::runner::{simulate_stream_probed, RunResult};
 use crate::zoo::PredictorKind;
 use ibp_exec::{Executor, FastHash};
-use ibp_metrics::{Log2Histogram, MetricsSnapshot};
+use ibp_metrics::{Log2Histogram, MetricsSnapshot, NullProbe};
 use ibp_predictors::IndirectPredictor;
 use ibp_testkit::TestRng;
 use ibp_trace::{BranchEvent, Trace};
@@ -526,7 +527,7 @@ where
     J: IntoIterator<Item = BranchEvent>,
 {
     warm_predictor(predictor, warmup);
-    simulate_stream(predictor, window)
+    simulate_stream_probed(predictor, window, &mut NullProbe)
 }
 
 /// A cluster-weighted misprediction estimate.
@@ -583,6 +584,19 @@ fn window_span(w: usize, total: usize, cfg: &SimPointConfig) -> (usize, usize, u
     (w0, m0, m1)
 }
 
+/// [`window_span`] of every cluster's representative, in cluster order.
+fn representative_spans(
+    phases: &Phases,
+    total: usize,
+    cfg: &SimPointConfig,
+) -> Vec<(usize, usize, usize)> {
+    phases
+        .clusters
+        .iter()
+        .map(|c| window_span(c.representative, total, cfg))
+        .collect()
+}
+
 fn weighted_merge(
     label: &str,
     phases: &Phases,
@@ -637,16 +651,9 @@ pub fn simpoint_from_phases(
     cfg: &SimPointConfig,
     exec: &Executor,
 ) -> SimPointRun {
-    let events = trace.events();
-    let spans: Vec<(usize, usize, usize)> = phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, events.len(), cfg))
-        .collect();
-    let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        kind.simulate_simpoint_window(entries, &events[w0..m0], &events[m0..m1])
-    });
-    weighted_merge(&kind.label(), phases, &results, &spans)
+    sample_trace(&kind.label(), trace, phases, cfg, exec, |warm, meas| {
+        kind.simulate_simpoint_window(entries, warm, meas.iter().copied())
+    })
 }
 
 /// [`simpoint_from_phases`] for an arbitrary predictor builder — the
@@ -666,20 +673,27 @@ where
     P: IndirectPredictor,
     F: Fn() -> P + Sync,
 {
+    sample_trace(label, trace, phases, cfg, exec, |warm, meas| {
+        simulate_window(&mut build(), warm.iter().copied(), meas.iter().copied())
+    })
+}
+
+/// Simulates each cluster representative of `trace` as `window(warmup,
+/// measured)` on `exec` and merges the weighted estimate.
+fn sample_trace<F>(
+    label: &str,
+    trace: &Trace,
+    phases: &Phases,
+    cfg: &SimPointConfig,
+    exec: &Executor,
+    window: F,
+) -> SimPointRun
+where
+    F: Fn(&[BranchEvent], &[BranchEvent]) -> RunResult + Sync,
+{
     let events = trace.events();
-    let spans: Vec<(usize, usize, usize)> = phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, events.len(), cfg))
-        .collect();
-    let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        let mut p = build();
-        simulate_window(
-            &mut p,
-            events[w0..m0].iter().copied(),
-            events[m0..m1].iter().copied(),
-        )
-    });
+    let spans = representative_spans(phases, events.len(), cfg);
+    let results = exec.map(&spans, |_, &(w0, m0, m1)| window(&events[w0..m0], &events[m0..m1]));
     weighted_merge(label, phases, &results, &spans)
 }
 
@@ -697,19 +711,17 @@ pub fn simpoint_grid_with(
     runs: &[ibp_workloads::BenchmarkRun],
     scale: f64,
     cfg: &SimPointConfig,
-) -> (crate::compare::GridResult, Vec<SimPointRun>) {
-    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| crate::compare::generate_trace(run, scale));
+) -> (GridResult, Vec<SimPointRun>) {
+    let setup = GridSetup::new(exec, runs, scale);
     let phases: Vec<Phases> =
-        exec.map(&traces, |_, t| cluster_signatures(&signatures_of(t, cfg), cfg));
-    let mut cells = Vec::with_capacity(traces.len() * kinds.len());
-    let mut sampled = Vec::with_capacity(traces.len() * kinds.len());
-    for (ri, trace) in traces.iter().enumerate() {
+        exec.map(&setup.traces, |_, t| cluster_signatures(&signatures_of(t, cfg), cfg));
+    let mut cells = Vec::with_capacity(setup.traces.len() * kinds.len());
+    let mut sampled = Vec::with_capacity(setup.traces.len() * kinds.len());
+    for (ri, trace) in setup.traces.iter().enumerate() {
         for &kind in kinds {
             let run = simpoint_from_phases(kind, entries, trace, &phases[ri], cfg, exec);
-            cells.push(crate::compare::GridCell {
-                run: run_labels[ri].clone(),
+            cells.push(GridCell {
+                run: setup.run_labels[ri].clone(),
                 predictor: run.estimate.predictor.clone(),
                 ratio: run.estimate.misprediction_ratio(),
                 predictions: run.estimate.predictions,
@@ -717,10 +729,8 @@ pub fn simpoint_grid_with(
             sampled.push(run);
         }
     }
-    (
-        crate::compare::GridResult::from_parts(predictors, run_labels, cells),
-        sampled,
-    )
+    let predictors = kinds.iter().map(|k| k.label()).collect();
+    (GridResult::from_parts(predictors, setup.run_labels, cells), sampled)
 }
 
 /// The predictor-independent half of a streamed sampled run: window
@@ -744,6 +754,30 @@ impl StreamPrep {
     /// Iterations of the generator covered by the signature pass.
     pub fn iterations(&self) -> u64 {
         self.iterations
+    }
+
+    /// Regenerates stream positions `w0..m1` from the last checkpoint at
+    /// or before `w0`, split at `m0` into the warmup and measured spans.
+    fn regenerate(&self, w0: usize, m0: usize, m1: usize) -> (Vec<BranchEvent>, Vec<BranchEvent>) {
+        let cp = self
+            .checkpoints
+            .iter()
+            .rev()
+            .find(|cp| cp.events_emitted() <= w0 as u64)
+            .unwrap_or(&self.checkpoints[0]);
+        let mut gen = cp.clone();
+        let mut idx = gen.events_emitted() as usize;
+        let mut span = Vec::with_capacity(m1 - w0);
+        while idx < m1 && gen.iterations_done() < self.iterations {
+            gen.step(|e| {
+                if (w0..m1).contains(&idx) {
+                    span.push(e);
+                }
+                idx += 1;
+            });
+        }
+        let measured = span.split_off((m0 - w0).min(span.len()));
+        (span, measured)
     }
 }
 
@@ -782,38 +816,10 @@ pub fn simpoint_streamed_prepped(
     cfg: &SimPointConfig,
     exec: &Executor,
 ) -> SimPointRun {
-    let total = prep.phases.total_events as usize;
-    let iterations = prep.iterations;
-    let spans: Vec<(usize, usize, usize)> = prep
-        .phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, total, cfg))
-        .collect();
+    let spans = representative_spans(&prep.phases, prep.phases.total_events as usize, cfg);
     let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        // Resume from the last checkpoint at or before the warmup start
-        // and route regenerated events into the warm/measured buffers.
-        let cp = prep
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|cp| cp.events_emitted() <= w0 as u64)
-            .unwrap_or(&prep.checkpoints[0]);
-        let mut gen = cp.clone();
-        let mut idx = gen.events_emitted() as usize;
-        let mut warm = Vec::with_capacity(m0 - w0);
-        let mut meas = Vec::with_capacity(m1 - m0);
-        while idx < m1 && gen.iterations_done() < iterations {
-            gen.step(|e| {
-                if idx >= w0 && idx < m0 {
-                    warm.push(e);
-                } else if idx >= m0 && idx < m1 {
-                    meas.push(e);
-                }
-                idx += 1;
-            });
-        }
-        kind.simulate_simpoint_window(entries, &warm, &meas)
+        let (warm, meas) = prep.regenerate(w0, m0, m1);
+        kind.simulate_simpoint_window(entries, &warm, meas)
     });
     weighted_merge(&kind.label(), &prep.phases, &results, &spans)
 }
@@ -839,46 +845,20 @@ pub fn simpoint_streamed_chained(
     prep: &StreamPrep,
     cfg: &SimPointConfig,
 ) -> SimPointRun {
-    let total = prep.phases.total_events as usize;
-    let iterations = prep.iterations;
     // Units in time order, remembering each one's cluster slot so the
     // weighted merge still pairs results with weights.
-    let mut order: Vec<(usize, (usize, usize, usize))> = prep
-        .phases
-        .clusters
-        .iter()
-        .enumerate()
-        .map(|(slot, c)| (slot, window_span(c.representative, total, cfg)))
-        .collect();
+    let total = prep.phases.total_events as usize;
+    let mut order: Vec<(usize, (usize, usize, usize))> =
+        representative_spans(&prep.phases, total, cfg).into_iter().enumerate().collect();
     order.sort_by_key(|&(_, (_, m0, _))| m0);
     let mut predictor = kind.build_with_entries(entries);
-    let mut results: Vec<RunResult> =
-        vec![RunResult::from_parts(kind.label(), 0, 0, std::iter::empty()); order.len()];
+    let mut results: Vec<RunResult> = vec![RunResult::new(kind.label()); order.len()];
     let mut spans: Vec<(usize, usize, usize)> = vec![(0, 0, 0); order.len()];
     let mut prev_end = 0usize;
     for &(slot, (w0, m0, m1)) in &order {
         // Never re-feed events an earlier unit already played.
         let w0 = w0.max(prev_end.min(m0));
-        let cp = prep
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|cp| cp.events_emitted() <= w0 as u64)
-            .unwrap_or(&prep.checkpoints[0]);
-        let mut gen = cp.clone();
-        let mut idx = gen.events_emitted() as usize;
-        let mut warm = Vec::with_capacity(m0 - w0);
-        let mut meas = Vec::with_capacity(m1 - m0);
-        while idx < m1 && gen.iterations_done() < iterations {
-            gen.step(|e| {
-                if idx >= w0 && idx < m0 {
-                    warm.push(e);
-                } else if idx >= m0 && idx < m1 {
-                    meas.push(e);
-                }
-                idx += 1;
-            });
-        }
+        let (warm, meas) = prep.regenerate(w0, m0, m1);
         results[slot] = simulate_window(predictor.as_mut(), warm.into_iter(), meas.into_iter());
         spans[slot] = (w0, m0, m1);
         prev_end = m1;
@@ -1062,7 +1042,7 @@ mod tests {
         let c = cfg(4, 4096);
         let exec = Executor::new(1);
         let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &c, &exec);
-        let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::PpmHyb.simulate_trace(&trace);
         assert_eq!(sampled.phases.clusters.len(), 1);
         assert_eq!(sampled.estimate.predictions, full.predictions());
         assert_eq!(sampled.estimate.mispredictions, full.mispredictions());
@@ -1099,7 +1079,7 @@ mod tests {
         let trace = two_phase_trace();
         let exec = Executor::new(1);
         let run = simpoint_trace(PredictorKind::Btb, 2048, &trace, &cfg(2, 100), &exec);
-        let full = PredictorKind::Btb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::Btb.simulate_trace(&trace);
         let snap = simpoint_snapshot(&run, Some(full.misprediction_ratio()));
         assert_eq!(snap.counter("simpoint_windows"), 8);
         assert_eq!(snap.counter("simpoint_clusters"), 2);

@@ -5,27 +5,25 @@
 //! multiplexed reactor steps hundreds of resident streams per poll
 //! iteration, so the dispatch cost is hoisted to the *batch* boundary
 //! instead: a [`SessionStepper`] is built once per stream through
-//! [`PredictorKind::session_stepper`](crate::PredictorKind::session_stepper),
+//! [`PredictorKind::session_stepper_with`](crate::PredictorKind::session_stepper_with),
 //! which monomorphizes the whole per-event loop over the concrete
 //! predictor type — the same `dispatch_kind!` arms the offline engine's
 //! hot loop uses — leaving one virtual call per batch.
 //!
-//! The per-event protocol is *exactly*
-//! [`simulate_stream`](crate::runner::simulate_stream)'s: for every
-//! event whose class is a predicted (multi-target) indirect branch,
-//! predict → count → update; every event is observed. The stepper also
-//! keeps the same per-branch accounting, so [`SessionStepper::run_result`]
-//! returns a [`RunResult`] bit-identical to offline simulation of the
-//! same event sequence — the property the serve differential suites pin.
+//! The per-event body is the offline runner's own
+//! [`RunResult::step_event`]: for every event whose class is a predicted
+//! (multi-target) indirect branch, predict → count → update; every event
+//! is observed. The stepper accumulates into a [`RunResult`], so
+//! [`SessionStepper::run_result`] is bit-identical to offline
+//! [`simulate_stream_probed`](crate::runner::simulate_stream_probed) of
+//! the same event sequence — the property the serve differential suites
+//! pin.
 
 use crate::runner::RunResult;
-use ibp_exec::FastMap;
 use ibp_hw::{PersistError, StateSink, StateSource};
+use ibp_metrics::NullProbe;
 use ibp_predictors::IndirectPredictor;
 use ibp_trace::BranchEvent;
-
-/// Initial per-branch map capacity, matching the offline runner's.
-const PER_BRANCH_CAPACITY: usize = 128;
 
 /// The outcome of one predicted indirect event, in batch order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +65,8 @@ pub trait SessionStepper: Send + Sync {
     fn step_verbose(&mut self, events: &[BranchEvent], out: &mut Vec<PredictionOutcome>);
 
     /// The session's accumulated result, bit-identical to offline
-    /// [`simulate_stream`](crate::runner::simulate_stream) over the same
-    /// event sequence.
+    /// [`simulate_stream_probed`](crate::runner::simulate_stream_probed)
+    /// over the same event sequence.
     fn run_result(&self) -> RunResult;
 
     /// Freezes the predictor's current table contents into an immutable,
@@ -109,35 +107,31 @@ pub trait SessionStepper: Send + Sync {
 
 /// The generic [`SessionStepper`] implementation over a concrete
 /// predictor type. Constructed through
-/// [`PredictorKind::session_stepper`](crate::PredictorKind::session_stepper),
+/// [`PredictorKind::session_stepper_with`](crate::PredictorKind::session_stepper_with),
 /// which picks `P` per kind.
 pub struct Stepper<P> {
     predictor: P,
-    label: String,
+    /// The session's label, totals and per-branch ledger, accumulated by
+    /// the offline runner's own [`RunResult::step_event`].
+    result: RunResult,
     sealed: bool,
     seq: u64,
-    predictions: u64,
-    mispredictions: u64,
-    per_branch: FastMap<u64, (u64, u64)>,
 }
 
 impl<P: IndirectPredictor> Stepper<P> {
     /// Wraps a fresh predictor.
     pub fn new(predictor: P) -> Self {
-        let label = predictor.name();
+        let result = RunResult::new(predictor.name());
         Stepper {
             predictor,
-            label,
+            result,
             sealed: false,
             seq: 0,
-            predictions: 0,
-            mispredictions: 0,
-            per_branch: FastMap::with_capacity(PER_BRANCH_CAPACITY),
         }
     }
 
-    /// The single per-event loop both step entry points funnel into;
-    /// `VERBOSE` is a compile-time branch so the counted path carries no
+    /// The loop both step entry points funnel into; `VERBOSE` is a
+    /// compile-time branch so the counted path carries no
     /// outcome-reporting residue.
     fn step<const VERBOSE: bool>(
         &mut self,
@@ -145,27 +139,16 @@ impl<P: IndirectPredictor> Stepper<P> {
         out: &mut Vec<PredictionOutcome>,
     ) {
         for event in events {
-            if event.class().is_predicted_indirect() {
-                let predicted = self.predictor.predict(event.pc());
-                let actual = event.target();
-                let correct = predicted == Some(actual);
-                self.predictions += 1;
-                let entry = self.per_branch.or_insert_with(event.pc().raw(), || (0, 0));
-                entry.0 += 1;
-                if !correct {
-                    self.mispredictions += 1;
-                    entry.1 += 1;
-                }
-                if VERBOSE {
+            let outcome = self.result.step_event(&mut self.predictor, event, &mut NullProbe);
+            if VERBOSE {
+                if let Some((correct, predicted)) = outcome {
                     out.push(PredictionOutcome {
                         seq: self.seq,
                         correct,
                         predicted: predicted.map(|a| a.raw()),
                     });
                 }
-                self.predictor.update(event.pc(), actual);
             }
-            self.predictor.observe(event);
             self.seq += 1;
         }
     }
@@ -176,7 +159,7 @@ where
     P: IndirectPredictor + Clone + Send + Sync + 'static,
 {
     fn label(&self) -> &str {
-        &self.label
+        self.result.predictor()
     }
 
     fn events(&self) -> u64 {
@@ -184,11 +167,11 @@ where
     }
 
     fn predictions(&self) -> u64 {
-        self.predictions
+        self.result.predictions()
     }
 
     fn mispredictions(&self) -> u64 {
-        self.mispredictions
+        self.result.mispredictions()
     }
 
     fn step_counted(&mut self, events: &[BranchEvent]) {
@@ -201,12 +184,7 @@ where
     }
 
     fn run_result(&self) -> RunResult {
-        RunResult::from_parts(
-            self.label.clone(),
-            self.predictions,
-            self.mispredictions,
-            self.per_branch.iter().map(|(&pc, &counts)| (pc, counts)),
-        )
+        self.result.clone()
     }
 
     fn seal(&mut self) {
@@ -221,37 +199,32 @@ where
     fn resident_bytes(&self) -> usize {
         // Predictor tables plus the per-branch ledger's logical payload
         // (pc + two counters per site).
-        self.predictor.resident_bytes()
-            + self.per_branch.len() * 3 * std::mem::size_of::<u64>()
+        self.predictor.resident_bytes() + self.result.sites() * 3 * std::mem::size_of::<u64>()
     }
 
     fn fork_fresh(&self) -> Box<dyn SessionStepper> {
         Box::new(Stepper {
             predictor: self.predictor.clone(),
-            label: self.label.clone(),
+            result: RunResult::new(self.result.predictor().to_string()),
             sealed: self.sealed,
             seq: 0,
-            predictions: 0,
-            mispredictions: 0,
-            per_branch: FastMap::with_capacity(PER_BRANCH_CAPACITY),
         })
     }
 
     fn save_session(&self, out: &mut Vec<u8>) {
         let mut sink = StateSink::new(out);
-        sink.bytes(self.label.as_bytes());
+        sink.bytes(self.result.predictor().as_bytes());
         sink.bool(self.sealed);
         sink.u64(self.seq);
-        sink.u64(self.predictions);
-        sink.u64(self.mispredictions);
+        sink.u64(self.result.predictions());
+        sink.u64(self.result.mispredictions());
         // Per-branch ledger sorted by PC, gap-coded: canonical bytes
         // regardless of map iteration order.
-        let mut sites: Vec<(u64, (u64, u64))> =
-            self.per_branch.iter().map(|(&pc, &c)| (pc, c)).collect();
-        sites.sort_unstable_by_key(|&(pc, _)| pc);
+        let sites = self.result.branches();
         sink.usize(sites.len());
         let mut prev = 0u64;
-        for (pc, (preds, misses)) in sites {
+        for (pc, preds, misses) in sites {
+            let pc = pc.raw();
             sink.u64(pc.wrapping_sub(prev));
             prev = pc;
             sink.u64(preds);
@@ -262,7 +235,7 @@ where
 
     fn load_session(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut src = StateSource::new(bytes);
-        if src.bytes()? != self.label.as_bytes() {
+        if src.bytes()? != self.result.predictor().as_bytes() {
             return Err(PersistError::Mismatch("session predictor label"));
         }
         if src.bool()? != self.sealed {
@@ -275,7 +248,7 @@ where
             return Err(PersistError::Corrupt("session counters inconsistent"));
         }
         let sites = src.usize()?;
-        let mut per_branch = FastMap::with_capacity(PER_BRANCH_CAPACITY);
+        let mut per_branch = Vec::new();
         let mut pc = 0u64;
         let mut total = 0u64;
         for i in 0..sites {
@@ -283,14 +256,18 @@ where
             if i > 0 && gap == 0 {
                 return Err(PersistError::Corrupt("session ledger out of order"));
             }
-            pc = pc.wrapping_add(gap);
+            pc = pc
+                .checked_add(gap)
+                .ok_or(PersistError::Corrupt("session ledger PC overflows"))?;
             let preds = src.u64()?;
             let misses = src.u64()?;
             if misses > preds {
                 return Err(PersistError::Corrupt("session ledger inconsistent"));
             }
-            total += preds;
-            per_branch.insert(pc, (preds, misses));
+            total = total
+                .checked_add(preds)
+                .ok_or(PersistError::Corrupt("session ledger count overflows"))?;
+            per_branch.push((pc, (preds, misses)));
         }
         if total != predictions {
             return Err(PersistError::Corrupt("session ledger does not sum"));
@@ -300,9 +277,12 @@ where
             return Err(PersistError::Corrupt("trailing bytes after session"));
         }
         self.seq = seq;
-        self.predictions = predictions;
-        self.mispredictions = mispredictions;
-        self.per_branch = per_branch;
+        self.result = RunResult::from_parts(
+            self.result.predictor().to_string(),
+            predictions,
+            mispredictions,
+            per_branch,
+        );
         Ok(())
     }
 }
@@ -310,7 +290,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate_stream;
+    use crate::runner::simulate_stream_probed;
     use crate::PredictorKind;
     use ibp_isa::Addr;
 
@@ -333,7 +313,8 @@ mod tests {
         let events = mixed_trace(400);
         for kind in PredictorKind::serve_lineup() {
             let mut offline = kind.build_with_entries(2048);
-            let expected = simulate_stream(&mut *offline, events.iter().copied());
+            let expected =
+                simulate_stream_probed(&mut *offline, events.iter().copied(), &mut NullProbe);
 
             // Counted path, split into uneven batches.
             let mut stepper = kind.session_stepper(2048);
@@ -373,6 +354,45 @@ mod tests {
         assert!(outcomes
             .iter()
             .all(|o| !o.correct || o.predicted.is_some()));
+    }
+
+    #[test]
+    fn corrupt_session_ledgers_are_typed_errors() {
+        // A fresh session's blob is its header then the predictor state;
+        // splice that state behind hand-written ledgers.
+        let fresh = PredictorKind::Btb.session_stepper(2048);
+        let blob_with = |seq: u64, predictions: u64, sites: &[(u64, u64)]| {
+            let mut out = Vec::new();
+            let mut sink = StateSink::new(&mut out);
+            sink.bytes(fresh.label().as_bytes());
+            sink.bool(false);
+            sink.u64(seq);
+            sink.u64(predictions);
+            sink.u64(0);
+            sink.usize(sites.len());
+            for &(gap, preds) in sites {
+                sink.u64(gap);
+                sink.u64(preds);
+                sink.u64(0);
+            }
+            out
+        };
+        let mut saved = Vec::new();
+        fresh.save_session(&mut saved);
+        let state = &saved[blob_with(0, 0, &[]).len()..];
+        let corrupt = [
+            // Gaps 5, 2^64-1, 1 wrap the third PC back onto the first
+            // site, so the restored ledger would sum to 2, not 3.
+            blob_with(3, 3, &[(5, 1), (u64::MAX, 1), (1, 1)]),
+            // Per-site counts 2^64-1 and 11 overflow the ledger sum.
+            blob_with(u64::MAX, 10, &[(5, u64::MAX), (1, 11)]),
+        ];
+        for mut blob in corrupt {
+            blob.extend_from_slice(state);
+            let mut session = PredictorKind::Btb.session_stepper(2048);
+            let err = session.load_session(&blob).map(|_| session.run_result());
+            assert!(matches!(err, Err(PersistError::Corrupt(_))), "{err:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! described by a list of kinds.
 
 use crate::metrics::predictor_snapshot;
-use crate::runner::{simulate, simulate_probed, simulate_stream, RunResult};
+use crate::runner::{simulate_stream_probed, RunResult};
+use crate::simpoint::simulate_window;
+use crate::stepper::{SessionStepper, Stepper};
 use ibp_metrics::{MetricsSnapshot, RecordingProbe};
 use ibp_ppm::{PpmHybrid, PpmPib, SelectorKind, StackConfig, TableEncoding};
 use ibp_predictors::{
@@ -26,7 +28,7 @@ pub const MAX_BUILD_ENTRIES: usize = 1 << 20;
 
 /// Dispatches on a [`PredictorKind`] once, binding `$make` in each arm to
 /// a zero-arg constructor of the *concrete* predictor type. Everything in
-/// `$body` — in particular [`simulate`]'s per-event loop — monomorphizes
+/// `$body` — in particular the runner's per-event loop — monomorphizes
 /// per arm, so dynamic dispatch happens once per task instead of three
 /// times per branch event. [`PredictorKind::build_with_entries`] and the
 /// monomorphized simulation paths share these arms, so the configurations
@@ -238,50 +240,20 @@ impl PredictorKind {
     /// predictor with the per-event loop monomorphized over the concrete
     /// predictor type (no virtual dispatch inside the loop).
     pub fn simulate_trace(self, trace: &Trace) -> RunResult {
-        self.simulate_with_entries(2048, trace)
-    }
-
-    /// Budget-scaled form of [`PredictorKind::simulate_trace`].
-    ///
-    /// Behaviorally identical to
-    /// `simulate(&mut *self.build_with_entries(entries), trace)` — the
-    /// constructors are shared arm-for-arm — but the predict/update/observe
-    /// calls compile to static dispatch, which is where the hot loop spends
-    /// its time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries < 64` (degenerate configurations).
-    pub fn simulate_with_entries(self, entries: usize, trace: &Trace) -> RunResult {
-        dispatch_kind!(self, entries, make => {
-            let mut p = make();
-            simulate(&mut p, trace)
-        })
+        self.simulate_events(2048, trace.iter().copied())
     }
 
     /// [`PredictorKind::simulate_trace`] with a recording probe attached:
     /// returns the (identical) run result plus a snapshot combining the
     /// probe's stream metrics with the predictor's internal telemetry.
-    pub fn simulate_trace_metrics(self, trace: &Trace) -> (RunResult, MetricsSnapshot) {
-        self.simulate_with_entries_metrics(2048, trace)
-    }
-
-    /// Budget-scaled form of [`PredictorKind::simulate_trace_metrics`].
     /// Monomorphizes the probed loop per concrete predictor, exactly like
     /// the uninstrumented path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries < 64` (degenerate configurations).
-    pub fn simulate_with_entries_metrics(
-        self,
-        entries: usize,
-        trace: &Trace,
-    ) -> (RunResult, MetricsSnapshot) {
+    pub fn simulate_trace_metrics(self, trace: &Trace) -> (RunResult, MetricsSnapshot) {
+        let entries = 2048;
         dispatch_kind!(self, entries, make => {
             let mut p = make();
             let mut probe = RecordingProbe::new();
-            let result = simulate_probed(&mut p, trace, &mut probe);
+            let result = simulate_stream_probed(&mut p, trace.iter().copied(), &mut probe);
             let mut snapshot = probe.snapshot();
             snapshot.merge(&predictor_snapshot(&p));
             (result, snapshot)
@@ -293,6 +265,11 @@ impl PredictorKind {
     /// large to materialize (pair with
     /// [`ModelStream::events`](ibp_workloads::ModelStream::events)).
     ///
+    /// Behaviorally identical to `simulate_stream_probed` over
+    /// `self.build_with_entries(entries)` — the constructors are shared
+    /// arm-for-arm — but the predict/update/observe calls compile to
+    /// static dispatch, which is where the hot loop spends its time.
+    ///
     /// # Panics
     ///
     /// Panics if `entries` is outside `64..=`[`MAX_BUILD_ENTRIES`].
@@ -300,72 +277,55 @@ impl PredictorKind {
     where
         I: IntoIterator<Item = BranchEvent>,
     {
-        dispatch_kind!(self, entries, make => {
-            let mut p = make();
-            simulate_stream(&mut p, events)
-        })
+        self.simulate_simpoint_window(entries, &[], events)
     }
 
-    /// Simulates one phase-sampling representative window (functional
-    /// warmup, then the counted window — see
-    /// [`simulate_window`](crate::simpoint::simulate_window)) with both
-    /// loops monomorphized over the concrete predictor. This is the task
-    /// the sampled grid fans out per cluster.
+    /// The warmed offline runner every uninstrumented simulation funnels
+    /// into: a fresh budget-scaled instance is functionally warmed over
+    /// `warmup`, then `events` run through the counted loop (see
+    /// [`simulate_window`](crate::simpoint::simulate_window)), both loops
+    /// monomorphized over the concrete predictor. With a phase-sampling
+    /// representative as `events` this is the task the sampled grid fans
+    /// out per cluster.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is outside `64..=`[`MAX_BUILD_ENTRIES`].
-    pub fn simulate_simpoint_window(
+    pub fn simulate_simpoint_window<I>(
         self,
         entries: usize,
         warmup: &[BranchEvent],
-        window: &[BranchEvent],
-    ) -> RunResult {
+        events: I,
+    ) -> RunResult
+    where
+        I: IntoIterator<Item = BranchEvent>,
+    {
         dispatch_kind!(self, entries, make => {
             let mut p = make();
-            crate::simpoint::simulate_window(
-                &mut p,
-                warmup.iter().copied(),
-                window.iter().copied(),
-            )
+            simulate_window(&mut p, warmup.iter().copied(), events)
         })
     }
 
-    /// Simulates every trace in `traces` through fresh instances of this
-    /// predictor, monomorphizing the whole batch under a single dispatch.
+    /// [`PredictorKind::session_stepper_with`] at the plain table
+    /// encoding.
     ///
-    /// This is the task-boundary entry point the sweep engine uses: one
-    /// virtual-free inner loop per (kind, budget), dyn dispatch only here.
-    pub fn simulate_batch(self, entries: usize, traces: &[&Trace]) -> Vec<RunResult> {
-        dispatch_kind!(self, entries, make => {
-            traces
-                .iter()
-                .map(|trace| {
-                    let mut p = make();
-                    simulate(&mut p, trace)
-                })
-                .collect()
-        })
+    /// # Panics
+    ///
+    /// Panics if `entries` is outside `64..=`[`MAX_BUILD_ENTRIES`].
+    pub fn session_stepper(self, entries: usize) -> Box<dyn SessionStepper> {
+        self.session_stepper_with(entries, TableEncoding::Plain)
     }
 
     /// Builds a batched session stepper for the serving layer: the
     /// per-event loop inside is monomorphized over the concrete
     /// predictor type (these same arms), so a resident stream pays one
     /// virtual call per *batch* instead of three per event. The stepping
-    /// protocol is exactly [`simulate`]'s — see
-    /// [`SessionStepper`](crate::stepper::SessionStepper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries < 64` (degenerate configurations).
-    pub fn session_stepper(self, entries: usize) -> Box<dyn crate::stepper::SessionStepper> {
-        dispatch_kind!(self, entries, make => Box::new(crate::stepper::Stepper::new(make())))
-    }
-
-    /// [`PredictorKind::session_stepper`] with an explicit table encoding
-    /// for the PPM stacks ([`TableEncoding::Compact`] slot-packs Markov
-    /// entries at ~1/3 the bytes; behaviourally identical). Kinds without
-    /// Markov tables ignore the encoding.
+    /// protocol is exactly [`simulate`](crate::runner::simulate)'s — see
+    /// [`SessionStepper`].
+    /// `encoding` picks the PPM stacks' table layout
+    /// ([`TableEncoding::Compact`] slot-packs Markov entries at ~1/3 the
+    /// bytes; behaviourally identical); kinds without Markov tables
+    /// ignore it.
     ///
     /// # Panics
     ///
@@ -374,10 +334,8 @@ impl PredictorKind {
         self,
         entries: usize,
         encoding: TableEncoding,
-    ) -> Box<dyn crate::stepper::SessionStepper> {
-        dispatch_kind!(self, entries, encoding, make => {
-            Box::new(crate::stepper::Stepper::new(make()))
-        })
+    ) -> Box<dyn SessionStepper> {
+        dispatch_kind!(self, entries, encoding, make => Box::new(Stepper::new(make())))
     }
 
     /// The lineup the serving layer exercises end to end: every kind,
@@ -553,6 +511,7 @@ impl PredictorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::simulate;
 
     #[test]
     fn figure_lineups() {
@@ -562,24 +521,7 @@ mod tests {
 
     #[test]
     fn all_kinds_build_and_have_names() {
-        let kinds = [
-            PredictorKind::Btb,
-            PredictorKind::Btb2b,
-            PredictorKind::GAp,
-            PredictorKind::TcPib,
-            PredictorKind::TcPb,
-            PredictorKind::Dpath,
-            PredictorKind::Cascade,
-            PredictorKind::PpmHyb,
-            PredictorKind::PpmPib,
-            PredictorKind::PpmHybBiased,
-            PredictorKind::OraclePib(8),
-            PredictorKind::IttageLite,
-            PredictorKind::Ittage64(8),
-            PredictorKind::Ittage64(16),
-            PredictorKind::Ittage64(64),
-        ];
-        for kind in kinds {
+        for kind in PredictorKind::serve_lineup() {
             let p = kind.build();
             assert!(!p.name().is_empty());
         }
@@ -700,7 +642,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget too small")]
     fn tiny_budget_panics_when_simulating() {
-        let _ = PredictorKind::Btb.simulate_with_entries(32, &Trace::new());
+        let _ = PredictorKind::Btb.simulate_events(32, Trace::new().iter().copied());
     }
 
     #[test]
@@ -740,10 +682,17 @@ mod tests {
         for kind in kinds {
             for entries in [512, 2048] {
                 let dynamic = simulate(&mut *kind.build_with_entries(entries), &trace);
-                let mono = kind.simulate_with_entries(entries, &trace);
+                let mono = kind.simulate_events(entries, trace.iter().copied());
                 assert_eq!(dynamic, mono, "{kind:?} @ {entries}");
-                let batch = kind.simulate_batch(entries, &[&trace, &trace]);
-                assert_eq!(batch, vec![mono.clone(), mono], "{kind:?} @ {entries}");
+                let (warmup, window) = trace.events().split_at(trace.len() / 3);
+                let warmed = simulate_window(
+                    &mut *kind.build_with_entries(entries),
+                    warmup.iter().copied(),
+                    window.iter().copied(),
+                );
+                let mono_warmed =
+                    kind.simulate_simpoint_window(entries, warmup, window.iter().copied());
+                assert_eq!(warmed, mono_warmed, "{kind:?} @ {entries} warmed");
             }
         }
     }

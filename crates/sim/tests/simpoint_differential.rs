@@ -33,7 +33,7 @@ fn weighted_estimate_tracks_full_run_on_every_suite_run() {
     let mut worst_run = String::new();
     for run in paper_suite() {
         let trace = run.generate_scaled(SCALE);
-        let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::PpmHyb.simulate_trace(&trace);
         let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &exec);
         let err =
             (sampled.estimate.misprediction_ratio() - full.misprediction_ratio()).abs() * 100.0;

@@ -204,7 +204,7 @@ fn degenerate_streams_clamp_instead_of_panicking() {
     assert_eq!(phases.clusters.len(), 1);
     assert_eq!(phases.clusters[0].weight, 1);
     let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &tiny, &cfg, &exec);
-    let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &tiny);
+    let full = PredictorKind::PpmHyb.simulate_trace(&tiny);
     assert_eq!(sampled.estimate.predictions, full.predictions());
     assert_eq!(sampled.estimate.mispredictions, full.mispredictions());
 }

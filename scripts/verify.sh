@@ -61,6 +61,27 @@ IBP_BENCH_DIR="$bench_dir" IBP_BENCH_REPS=1 IBP_BENCH_MIN_MS=1 IBP_BENCH_SCALE=0
 cargo bench -q --offline -p ibp-bench --bench throughput -- \
   --check "$bench_dir/BENCH_throughput.json"
 
+echo "== experiment outputs reproduce results/ byte-for-byte =="
+# Every experiment binary is deterministic (seeded workloads, grid-order
+# commits for any pool size, no timings in the output), so its
+# full-scale stdout must match the committed copy exactly, and so must
+# the Figure 6 metrics JSON: any drift means a prediction changed.
+cargo build -q --release --offline -p ibp-bench --bins
+mkdir -p "$bench_dir/results"
+for bin in table1 fig6 fig7 ablate_hash ablate_ideal ablate_tags cond_ppm \
+  epilogue_ittage ext_future_work markov_dist oracle_photon sweep_delay \
+  sweep_pathlen sweep_size trace_entropy; do
+  cargo run -q --release --offline -p ibp-bench --bin "$bin" > "$bench_dir/results/$bin.txt"
+  cmp "$bench_dir/results/$bin.txt" "results/$bin.txt" \
+    || { echo "verify: $bin output drifted from results/$bin.txt"; exit 1; }
+done
+cargo run -q --release --offline -p ibp-bench --bin fig6 -- \
+  --metrics "$bench_dir/results/metrics_fig6.json" > "$bench_dir/results/fig6_metrics.txt"
+cmp "$bench_dir/results/fig6_metrics.txt" results/fig6.txt \
+  || { echo "verify: fig6 --metrics output drifted from results/fig6.txt"; exit 1; }
+cmp "$bench_dir/results/metrics_fig6.json" results/metrics_fig6.json \
+  || { echo "verify: metrics_fig6.json drifted from the committed copy"; exit 1; }
+
 echo "== multi-tenant memory differential (delta ≡ private, snapshot round-trip) =="
 # The memory plane's two correctness walls, run by name so a failure is
 # unmistakable even though the workspace pass above already ran them:

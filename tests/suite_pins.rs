@@ -81,7 +81,7 @@ fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
     let trace = run.generate_scaled(0.2);
     assert_eq!(trace.len(), 83_300, "gs.tig stream drifted");
 
-    let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+    let full = PredictorKind::PpmHyb.simulate_trace(&trace);
     assert_eq!(
         (full.predictions(), full.mispredictions()),
         (51_100, 4_358),
